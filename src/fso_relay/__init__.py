@@ -4,7 +4,7 @@ CSI-assisted AF, fixed-gain AF and DF relaying, with quadrature and
 Monte Carlo cross-verification."""
 
 from .aber import (BPSK, DPSK, Modulation, aber, aber_csi, aber_df,
-                   aber_fixed, aber_from_cdf, aber_quadrature)
+                   aber_fixed, aber_from_cdf, aber_quadrature, plan_aber)
 from .errors import ConvergenceError, DegenerateFitError, IntegerConditionError
 from .hop import (HopChannel, Pointing, SnrKernel, auto_kernel, bound_kernel,
                   hop_dumps, hop_loads, integer_bracket, mean_irradiance,
@@ -15,9 +15,9 @@ from .mcsim import (Estimate, FadingSource, McConfig, estimate_aber,
                     sample_snr)
 from .mgfit import (GammaGammaParams, MixtureGamma, fit_gamma_gamma,
                     gamma_gamma_pdf, mg_mean, mg_pdf, mg_sample)
-from .relay import (CsiAf, Df, FixedAf, RelayLink, cdf, cdf_csi, cdf_df,
-                    cdf_fixed, cdf_numeric, fixed_gain, fixed_gain_numeric,
-                    link_mode, outage, resolve_gain)
+from .relay import (CsiAf, Df, FixedAf, LinkPlan, RelayLink, cdf, cdf_csi,
+                    cdf_df, cdf_fixed, cdf_numeric, fixed_gain,
+                    fixed_gain_numeric, link_mode, outage, resolve_gain)
 from .specfun import (Accuracy, bessel_k, erf, gamma, gauss_2f1,
                       gauss_laguerre, scaled_upper_inc_gamma, upper_inc_gamma,
                       whittaker_w)

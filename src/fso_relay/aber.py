@@ -7,6 +7,13 @@ CDF callable; the three protocol-specific closed forms carry out the
 integral symbolically term by term and are valid under the same integer
 conditions as the CDF sums (exact kernels on both hops).
 
+The closed forms are computed from a LinkPlan: the CSI (q=0) and
+fixed-gain ABERs transform the columns of the plan's merged CDF term
+table, whose terms each integrate to one 2F1 resp. Whittaker-W factor,
+and the DF ABER pairs the terms of the two hop tails.  The special
+functions are evaluated once per distinct argument tuple and gathered
+back onto the terms.
+
 The exact CSI-assisted case (q=1) has no closed ABER; it is served by
 the quadrature evaluator over its closed-form CDF.
 """
@@ -20,12 +27,13 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .errors import IntegerConditionError
-from .hop import auto_kernel
-from .relay import (CsiAf, Df, FixedAf, RelayLink, _log_binom, cdf,
-                    cdf_numeric, link_mode, resolve_gain)
+from .hop import ccdf_terms
+from .relay import (CsiAf, Df, FixedAf, LinkPlan, RelayLink, TermTable,
+                    cdf_numeric)
 from .specfun import gauss_2f1, whittaker_w
 
 _BER_FLOOR = 1e-300
+_LN2 = math.log(2.0)
 
 
 class Modulation:
@@ -84,21 +92,78 @@ def aber_quadrature(link: RelayLink, mod: Modulation,
     symbolic ABER sums); 'numeric' integrates the quadrature CDF, the
     only route for links that fail the integer conditions.
     """
-    if basis == "auto":
-        basis = "numeric" if link_mode(link) == "numeric" else "closed"
-    if basis == "closed":
-        return aber_from_cdf(lambda z: cdf(link, z), mod)
     if basis == "numeric":
         return aber_from_cdf(lambda z: cdf_numeric(link, z), mod)
-    raise ValueError(f"unknown basis {basis!r}")
+    if basis not in ("auto", "closed"):
+        raise ValueError(f"unknown basis {basis!r}")
+    plan = LinkPlan(link)
+    if basis == "closed":
+        plan.require_kernels()
+    return aber_from_cdf(plan.cdf, mod)
 
 
-def _require_exact(link: RelayLink) -> None:
-    k1, k2 = auto_kernel(link.hop1), auto_kernel(link.hop2)
-    if k1.mode != "exact" or k2.mode != "exact":
+def _exact_plan(link: RelayLink) -> LinkPlan:
+    plan = LinkPlan(link)
+    if plan.mode != "closed":
         raise IntegerConditionError(
             "closed-form ABER needs exact kernels on both hops; "
             "use aber_quadrature in the bound regime")
+    return plan
+
+
+def _log_pref(mod: Modulation) -> float:
+    # Q^P / (2 Gamma(P)) of the ABER kernel
+    return mod.p * math.log(mod.q) - _LN2 - gammaln(mod.p)
+
+
+def _per_distinct(fn, *args) -> np.ndarray:
+    """fn(*args) elementwise, with one fn call per distinct argument tuple."""
+    uniq, inv = np.unique(np.column_stack(args), axis=0, return_inverse=True)
+    return fn(*uniq.T)[inv.reshape(-1)]
+
+
+def _closed_sum(log_terms: np.ndarray) -> float:
+    return max(_BER_FLOOR, 0.5 - math.fsum(np.exp(log_terms).ravel().tolist()))
+
+
+def _aber_csi_closed(table: TermTable, mod: Modulation) -> float:
+    # q = 0: a term of the CDF tail is x^{mu-P} e^{-rate x} K_nu(beta x)
+    # with mu = P + ex + 2 ez and beta = 2 sqrt(R); see aber_csi
+    mu = mod.p + table.ex + 2.0 * table.ez
+    nu = table.nu
+    assert np.all(mu > nu)
+    beta = 2.0 * np.sqrt(table.big_r)
+    alpha = table.rate + mod.q
+    f = _per_distinct(gauss_2f1, mu + nu, nu + 0.5, mu + 0.5,
+                      (alpha - beta) / (alpha + beta))
+    return _closed_sum(
+        _log_pref(mod) + table.log_coef + 0.5 * math.log(math.pi)
+        + nu * np.log(2.0 * beta) + gammaln(mu + nu) + gammaln(mu - nu)
+        - (mu + nu) * np.log(alpha + beta) - gammaln(mu + 0.5) + np.log(f))
+
+
+def _aber_fixed_closed(table: TermTable, mod: Modulation) -> float:
+    # a term of the CDF tail is x^{rho-P} e^{-rate x} K_nu(2 sqrt(R x))
+    # with rho = P + ex; see aber_fixed
+    rho = mod.p + table.ex
+    nu = table.nu
+    a_rate = table.rate + mod.q
+    w = table.big_r / a_rate
+    whit = _per_distinct(whittaker_w, -(rho - 0.5), 0.5 * nu, w)
+    return _closed_sum(
+        _log_pref(mod) + table.log_coef + gammaln(rho + 0.5 * nu)
+        + gammaln(rho - 0.5 * nu) - _LN2 - 0.5 * np.log(table.big_r)
+        - (rho - 0.5) * np.log(a_rate) + 0.5 * w + np.log(whit))
+
+
+def _aber_df_closed(plan: LinkPlan, mod: Modulation) -> float:
+    # the product of the hop tails sum_j exp(c_j) x^{r_j} e^{-lam_j x}
+    # integrates termwise to Gamma(r1 + r2 + P) / (lam1 + lam2 + Q)^(...)
+    (c1, r1, lam1), (c2, r2, lam2) = (ccdf_terms(k) for k in plan.kernels)
+    n = r1[:, None] + r2[None, :] + mod.p
+    return _closed_sum(
+        _log_pref(mod) + c1[:, None] + c2[None, :] + gammaln(n)
+        - n * np.log(lam1[:, None] + lam2[None, :] + mod.q))
 
 
 def aber_csi(link: RelayLink, mod: Modulation) -> float:
@@ -113,38 +178,7 @@ def aber_csi(link: RelayLink, mod: Modulation) -> float:
     """
     if not (isinstance(link.protocol, CsiAf) and link.protocol.q == 0):
         raise ValueError("aber_csi applies to CsiAf links with q=0")
-    _require_exact(link)
-    p_mod, q_mod = mod.p, mod.q
-    k1, k2 = auto_kernel(link.hop1), auto_kernel(link.hop2)
-    log_pref = p_mod * math.log(q_mod) - gammaln(p_mod)
-    terms = []
-    for lc1, m1, lam1 in zip(k1.log_coef, k1.power, k1.rate):
-        for lc2, m2, lam2 in zip(k2.log_coef, k2.power, k2.rate):
-            beta = 2.0 * math.sqrt(lam1 * lam2)
-            alpha = lam1 + lam2 + q_mod
-            arg = (alpha - beta) / (alpha + beta)
-            for r1 in range(m1):
-                mu = p_mod + m2 + r1
-                for p in range(m2):
-                    for s in range(r1 + 1):
-                        nu = abs(p - s + 1)
-                        assert mu - nu > 0.0
-                        half = 0.5 * (p - s + 1.0)
-                        log_term = (
-                            log_pref + lc1 + lc2 + gammaln(m1)
-                            - gammaln(r1 + 1.0) + _log_binom(r1, s)
-                            + _log_binom(m2 - 1, p)
-                            + (half + r1 - m1) * math.log(lam1)
-                            - half * math.log(lam2)
-                            + 0.5 * math.log(math.pi)
-                            + nu * math.log(2.0 * beta)
-                            + gammaln(mu + nu) + gammaln(mu - nu)
-                            - (mu + nu) * math.log(alpha + beta)
-                            - gammaln(mu + 0.5)
-                            + math.log(gauss_2f1(mu + nu, nu + 0.5,
-                                                 mu + 0.5, arg)))
-                        terms.append(math.exp(log_term))
-    return max(_BER_FLOOR, 0.5 - math.fsum(terms))
+    return _aber_csi_closed(_exact_plan(link).table, mod)
 
 
 def aber_fixed(link: RelayLink, mod: Modulation) -> float:
@@ -159,34 +193,7 @@ def aber_fixed(link: RelayLink, mod: Modulation) -> float:
     """
     if not isinstance(link.protocol, FixedAf):
         raise ValueError("aber_fixed applies to FixedAf links")
-    _require_exact(link)
-    p_mod, q_mod = mod.p, mod.q
-    gain = resolve_gain(link)
-    k1, k2 = auto_kernel(link.hop1), auto_kernel(link.hop2)
-    log_pref = p_mod * math.log(q_mod) - gammaln(p_mod)
-    terms = []
-    for lc1, m1, lam1 in zip(k1.log_coef, k1.power, k1.rate):
-        a_rate = lam1 + q_mod
-        for lc2, m2, lam2 in zip(k2.log_coef, k2.power, k2.rate):
-            c_sq = lam1 * lam2 * gain
-            w = c_sq / a_rate
-            for r1 in range(m1):
-                for s in range(r1 + 1):
-                    nu = m2 - s
-                    rho = p_mod + 0.5 * nu + r1
-                    log_term = (
-                        log_pref + lc1 + lc2 + gammaln(m1)
-                        - gammaln(r1 + 1.0) + _log_binom(r1, s)
-                        + (0.5 * nu + r1 - m1) * math.log(lam1)
-                        - 0.5 * nu * math.log(lam2)
-                        + 0.5 * (m2 + s) * math.log(gain)
-                        + gammaln(rho + 0.5 * abs(nu))
-                        + gammaln(rho - 0.5 * abs(nu))
-                        - math.log(2.0) - 0.5 * math.log(c_sq)
-                        - (rho - 0.5) * math.log(a_rate) + 0.5 * w
-                        + math.log(whittaker_w(-(rho - 0.5), 0.5 * nu, w)))
-                    terms.append(math.exp(log_term))
-    return max(_BER_FLOOR, 0.5 - math.fsum(terms))
+    return _aber_fixed_closed(_exact_plan(link).table, mod)
 
 
 def aber_df(link: RelayLink, mod: Modulation) -> float:
@@ -194,38 +201,25 @@ def aber_df(link: RelayLink, mod: Modulation) -> float:
     per-hop tails integrates termwise to elementary Gamma factors."""
     if not isinstance(link.protocol, Df):
         raise ValueError("aber_df applies to Df links")
-    _require_exact(link)
-    p_mod, q_mod = mod.p, mod.q
-    k1, k2 = auto_kernel(link.hop1), auto_kernel(link.hop2)
-    log_pref = p_mod * math.log(q_mod) - math.log(2.0) - gammaln(p_mod)
-    terms = []
-    for lc1, m1, lam1 in zip(k1.log_coef, k1.power, k1.rate):
-        for lc2, m2, lam2 in zip(k2.log_coef, k2.power, k2.rate):
-            denom = lam1 + lam2 + q_mod
-            for r1 in range(m1):
-                hop1_part = (lc1 + gammaln(m1) - gammaln(r1 + 1.0)
-                             - (m1 - r1) * math.log(lam1))
-                for r2 in range(m2):
-                    log_term = (
-                        log_pref + hop1_part
-                        + lc2 + gammaln(m2) - gammaln(r2 + 1.0)
-                        - (m2 - r2) * math.log(lam2)
-                        + gammaln(r1 + r2 + p_mod)
-                        - (r1 + r2 + p_mod) * math.log(denom))
-                    terms.append(math.exp(log_term))
-    return max(_BER_FLOOR, 0.5 - math.fsum(terms))
+    return _aber_df_closed(_exact_plan(link), mod)
+
+
+def plan_aber(plan: LinkPlan, mod: Modulation) -> float:
+    """Best available ABER of a planned link: closed form where one exists
+    (exact kernels, and q=0 for CSI), kernel quadrature over the plan's
+    CDF otherwise."""
+    proto = plan.link.protocol
+    if plan.mode == "closed":
+        if isinstance(proto, Df):
+            return _aber_df_closed(plan, mod)
+        if isinstance(proto, FixedAf):
+            return _aber_fixed_closed(plan.table, mod)
+        if proto.q == 0:
+            return _aber_csi_closed(plan.table, mod)
+    return aber_from_cdf(plan.cdf, mod)
 
 
 def aber(link: RelayLink, mod: Modulation) -> float:
     """Best available ABER: closed form where one exists (exact kernels,
     and q=0 for CSI), kernel quadrature otherwise."""
-    try:
-        if isinstance(link.protocol, CsiAf) and link.protocol.q == 0:
-            return aber_csi(link, mod)
-        if isinstance(link.protocol, FixedAf):
-            return aber_fixed(link, mod)
-        if isinstance(link.protocol, Df):
-            return aber_df(link, mod)
-    except IntegerConditionError:
-        pass
-    return aber_quadrature(link, mod)
+    return plan_aber(LinkPlan(link), mod)

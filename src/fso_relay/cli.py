@@ -37,13 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aber import Modulation, aber, aber_quadrature
+from .aber import Modulation, aber_quadrature, plan_aber
 from .errors import ConvergenceError
 from .hop import HopChannel, Pointing, snr_pdf
 from .mcsim import McConfig, estimate_aber, estimate_outage
 from .mgfit import (GammaGammaParams, MixtureGamma, fit_gamma_gamma,
                     gamma_gamma_pdf, mg_pdf)
-from .relay import CsiAf, Df, FixedAf, RelayLink, cdf, cdf_numeric, link_mode, outage
+from .relay import CsiAf, Df, FixedAf, LinkPlan, RelayLink, cdf_numeric
 
 log = logging.getLogger("fso_relay")
 
@@ -201,16 +201,15 @@ def _sweep_point(scenario: Scenario, gamma_bar_db: float):
     rows = []
     for proto in scenario.protocols:
         try:
-            link = make_link(scenario, proto, gamma_bar_db)
-            mode = link_mode(link)
-            p_out = outage(link, scenario.gamma_th)
-            p_err = aber(link, scenario.modulation)
+            plan = LinkPlan(make_link(scenario, proto, gamma_bar_db))
+            p_out = plan.outage(scenario.gamma_th)
+            p_err = plan_aber(plan, scenario.modulation)
         except (ConvergenceError, OverflowError, FloatingPointError) as exc:
             raise ConvergenceError(
                 f"at gamma_bar_db={gamma_bar_db}, protocol={proto}: {exc}"
             ) from exc
-        rows.append([gamma_bar_db, proto, p_out, p_err, mode,
-                     mode == "bound"])
+        rows.append([gamma_bar_db, proto, p_out, p_err, plan.mode,
+                     plan.mode == "bound"])
     return rows
 
 
@@ -246,12 +245,10 @@ def cmd_cdf(args) -> int:
     protocols = _select_protocols(scenario, args.protocol)
     rows = []
     for proto in protocols:
-        link = make_link(scenario, proto, args.gamma_bar_db)
-        mode = link_mode(link)
+        plan = LinkPlan(make_link(scenario, proto, args.gamma_bar_db))
         for x_db in _parse_x_db(args.x_db):
-            x = 10.0 ** (x_db / 10.0)
-            val = cdf(link, x) if mode != "numeric" else cdf_numeric(link, x)
-            rows.append([proto, x_db, val, mode, mode == "bound"])
+            rows.append([proto, x_db, plan.cdf(10.0 ** (x_db / 10.0)),
+                         plan.mode, plan.mode == "bound"])
     _write_rows(["protocol", "x_db", "cdf", "method", "bound_regime"], rows,
                 args.out)
     return EXIT_OK
@@ -264,10 +261,9 @@ def cmd_outage(args) -> int:
     protocols = _select_protocols(scenario, args.protocol)
     rows = []
     for proto in protocols:
-        link = make_link(scenario, proto, args.gamma_bar_db)
-        mode = link_mode(link)
-        rows.append([args.gamma_bar_db, proto,
-                     outage(link, scenario.gamma_th), mode, mode == "bound"])
+        plan = LinkPlan(make_link(scenario, proto, args.gamma_bar_db))
+        rows.append([args.gamma_bar_db, proto, plan.outage(scenario.gamma_th),
+                     plan.mode, plan.mode == "bound"])
     _write_rows(["gamma_bar_db", "protocol", "outage", "method", "bound_regime"],
                 rows, args.out)
     return EXIT_OK
@@ -278,10 +274,10 @@ def cmd_aber(args) -> int:
     protocols = _select_protocols(scenario, args.protocol)
     rows = []
     for proto in protocols:
-        link = make_link(scenario, proto, args.gamma_bar_db)
-        mode = link_mode(link)
+        plan = LinkPlan(make_link(scenario, proto, args.gamma_bar_db))
         rows.append([args.gamma_bar_db, proto,
-                     aber(link, scenario.modulation), mode, mode == "bound"])
+                     plan_aber(plan, scenario.modulation), plan.mode,
+                     plan.mode == "bound"])
     _write_rows(["gamma_bar_db", "protocol", "aber", "method", "bound_regime"],
                 rows, args.out)
     return EXIT_OK
@@ -302,19 +298,16 @@ def cmd_sweep(args) -> int:
 def _verify_point(scenario: Scenario, proto: str, gamma_bar_db: float,
                   mc_cfg: McConfig):
     link = make_link(scenario, proto, gamma_bar_db)
-    mode = link_mode(link)
-    bound = mode == "bound"
+    plan = LinkPlan(link)
+    bound = plan.mode == "bound"
     gth = scenario.gamma_th
     mod = scenario.modulation
 
-    out_closed = outage(link, gth)
+    out_closed = plan.outage(gth)
     out_quad = cdf_numeric(link, gth)
     out_mc = estimate_outage(link, gth, mc_cfg)
 
-    if isinstance(link.protocol, CsiAf) and link.protocol.q == 1:
-        aber_closed = aber_quadrature(link, mod, basis="closed")
-    else:
-        aber_closed = aber(link, mod)
+    aber_closed = plan_aber(plan, mod)
     aber_quad = aber_quadrature(link, mod, basis="numeric")
     aber_mc = estimate_aber(link, mod, mc_cfg)
 
@@ -327,7 +320,7 @@ def _verify_point(scenario: Scenario, proto: str, gamma_bar_db: float,
             passed = (abs(closed - quadv) <= _ABER_QUAD_TOL
                       and est.ci95[0] <= closed <= est.ci95[1])
         rows.append([gamma_bar_db, proto, metric, closed, quadv, est.value,
-                     est.std_err, est.ci95[0], est.ci95[1], mode, bound,
+                     est.std_err, est.ci95[0], est.ci95[1], plan.mode, bound,
                      passed])
     return rows
 
@@ -419,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--protocol")
     p_sweep.add_argument("--out")
-    p_sweep.add_argument("--format", choices=("csv",), default="csv")
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_ver = sub.add_parser("verify",

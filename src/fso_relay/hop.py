@@ -29,7 +29,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
+import numpy as np
 from scipy.special import gammaln
 
 from .errors import IntegerConditionError
@@ -122,9 +124,9 @@ class HopChannel:
         return cls(mg=mg, pointing=pointing, gamma_bar=p_t * eta * ibar / n0,
                    gg=gg, power=(p_t, eta, n0))
 
-    @property
+    @cached_property
     def kernel_scale(self) -> float:
-        """Scale S of the composite SNR kernels.
+        """Scale S of the composite SNR kernels, computed once per hop.
 
         S = A0 * gamma_bar / Ibar; the A0 in the numerator cancels the
         one inside Ibar, which calibrates the statistics so the mean SNR
@@ -283,6 +285,19 @@ def _kernel_pdf(kern: SnrKernel, x: float) -> float:
         for lc, m, lam in zip(kern.log_coef, kern.power, kern.rate))
 
 
+def ccdf_terms(kern: SnrKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Terms of the kernel tail integral as columns (log_coef, r, rate):
+    the tail from x is sum_j exp(log_coef_j) x^{r_j} e^{-rate_j x}."""
+    m_t = np.asarray(kern.power)
+    t = np.repeat(np.arange(len(m_t)), m_t)
+    m = m_t[t]
+    r = np.arange(len(t)) - np.repeat(np.cumsum(m_t) - m_t, m_t)
+    rate = np.asarray(kern.rate)[t]
+    log_coef = (np.asarray(kern.log_coef)[t] + gammaln(m) - gammaln(r + 1.0)
+                - (m - r) * np.log(rate))
+    return log_coef, r, rate
+
+
 def kernel_ccdf(kern: SnrKernel, x: float) -> float:
     """Tail integral of the kernel density from x to infinity.
 
@@ -293,13 +308,8 @@ def kernel_ccdf(kern: SnrKernel, x: float) -> float:
         raise ValueError(f"kernel_ccdf needs x >= 0, got {x}")
     if x == 0.0:
         return kern.mass
-    terms = []
-    for lc, m, lam in zip(kern.log_coef, kern.power, kern.rate):
-        for r in range(m):
-            terms.append(math.exp(lc + gammaln(m) - gammaln(r + 1.0)
-                                  - (m - r) * math.log(lam)
-                                  + r * math.log(x) - lam * x))
-    return math.fsum(terms)
+    log_coef, r, rate = ccdf_terms(kern)
+    return math.fsum(np.exp(log_coef + r * math.log(x) - rate * x).tolist())
 
 
 def snr_ccdf(hop: HopChannel, x: float) -> float:

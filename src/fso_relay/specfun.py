@@ -176,51 +176,66 @@ def log_bessel_k(nu, x):
     return out if out.ndim else float(out)
 
 
-def gauss_2f1(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric 2F1(a, b; c; z) on 0 <= z < 1."""
-    if c <= 0.0 and c == math.floor(c):
-        raise ValueError(f"gauss_2f1 pole at c={c}")
-    if not 0.0 <= z < 1.0:
-        raise ValueError(f"gauss_2f1 needs 0 <= z < 1, got {z}")
-    val = float(sp.hyp2f1(a, b, c, z))
-    if not math.isfinite(val):
-        raise ConvergenceError(f"gauss_2f1({a}, {b}, {c}, {z}) diverged")
-    return val
+def gauss_2f1(a, b, c, z):
+    """Gauss hypergeometric 2F1(a, b; c; z) on 0 <= z < 1, elementwise on
+    arrays."""
+    a, b, c, z = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                       for v in (a, b, c, z)))
+    pole = (c <= 0.0) & (c == np.floor(c))
+    if np.any(pole):
+        raise ValueError(f"gauss_2f1 pole at c={c[pole].flat[0]}")
+    outside = ~((z >= 0.0) & (z < 1.0))
+    if np.any(outside):
+        raise ValueError(f"gauss_2f1 needs 0 <= z < 1, got {z[outside].flat[0]}")
+    val = sp.hyp2f1(a, b, c, z)
+    bad = ~np.isfinite(val)
+    if np.any(bad):
+        i = np.flatnonzero(bad)[0]
+        raise ConvergenceError(
+            f"gauss_2f1({a.flat[i]}, {b.flat[i]}, {c.flat[i]}, {z.flat[i]}) diverged")
+    return val if val.ndim else float(val)
 
 
 def _hyperu_quadrature(a: float, b: float, z: float) -> float:
-    # U(a,b,z) = 1/Gamma(a) * int_0^inf e^{-zt} t^{a-1} (1+t)^{b-a-1} dt, a > 0
+    # With t = s/z the integral representation reads
+    #   U(a,b,z) = z^{-a}/Gamma(a) int_0^inf e^{-s} s^{a-1} (1+s/z)^{b-a-1} ds,
+    # a > 0, whose integrand keeps the e^{-s} scale however small z is
+    # (in t the mass spreads over t ~ 1/z, where a fixed-budget quad loses
+    # digits).
     if a <= 0.0:
         raise ConvergenceError(
             f"no quadrature fallback for hyperu with a={a} <= 0")
     from scipy.integrate import quad
 
-    val, _ = quad(lambda t: math.exp(-z * t + (a - 1.0) * math.log(t)
-                                     + (b - a - 1.0) * math.log1p(t)),
-                  0.0, np.inf, epsabs=0.0, epsrel=1e-11, limit=200)
-    return val / float(sp.gamma(a))
+    val, _ = quad(lambda s: math.exp(-s + (a - 1.0) * math.log(s)
+                                     + (b - a - 1.0) * math.log1p(s / z)),
+                  0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
+    return math.exp(math.log(val) - a * math.log(z) - math.lgamma(a))
 
 
-def whittaker_w(kappa: float, mu: float, z: float) -> float:
-    """Whittaker W_{kappa,mu}(z) for z > 0.
+def whittaker_w(kappa, mu, z):
+    """Whittaker W_{kappa,mu}(z) for z > 0, elementwise on arrays.
 
     Evaluated as e^{-z/2} z^{mu+1/2} U(mu - kappa + 1/2, 1 + 2 mu, z); the
     mu -> -mu symmetry of W is applied first so the confluent U is always
-    called with second parameter >= 1.  Degenerate parameter combinations
-    that make the scipy U backend fail fall back to the integral
-    representation of U.
+    called with second parameter >= 1.  Where the scipy U backend returns
+    a non-finite value, U comes from its integral representation instead.
     """
-    if z <= 0.0:
-        raise ValueError(f"whittaker_w needs z > 0, got {z}")
-    mu = abs(mu)
+    kappa, mu, z = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                         for v in (kappa, mu, z)))
+    if np.any(z <= 0.0):
+        raise ValueError("whittaker_w needs z > 0")
+    mu = np.abs(mu)
     a = mu - kappa + 0.5
     b = 1.0 + 2.0 * mu
-    u = float(sp.hyperu(a, b, z))
-    if not math.isfinite(u):
+    u = np.array(sp.hyperu(a, b, z), dtype=float)
+    for i in np.flatnonzero(~np.isfinite(u)):
+        ai, bi, zi = a.flat[i], b.flat[i], z.flat[i]
         log.warning("hyperu(%g, %g, %g) non-finite; using integral fallback",
-                    a, b, z)
-        u = _hyperu_quadrature(a, b, z)
-    return math.exp(-0.5 * z + (mu + 0.5) * math.log(z)) * u
+                    ai, bi, zi)
+        u.flat[i] = _hyperu_quadrature(ai, bi, zi)
+    out = np.exp(-0.5 * z + (mu + 0.5) * np.log(z)) * u
+    return out if out.ndim else float(out)
 
 
 def gauss_laguerre(L: int) -> list[tuple[float, float]]:

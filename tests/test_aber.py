@@ -163,6 +163,20 @@ class TestAberDispatcher:
                 assert 0.0 < val <= 0.5
 
 
+class TestStrongTurbulence:
+    @pytest.mark.parametrize("db", [10.0, 30.0])
+    @pytest.mark.parametrize("proto,closed", [(fr.CsiAf(0), fr.aber_csi),
+                                              (fr.FixedAf(), fr.aber_fixed),
+                                              (fr.Df(), fr.aber_df)])
+    def test_closed_forms_match_kernel_quadrature(self, proto, closed, db):
+        """(8, 6, 1): the fixed-gain sum needs confluent U where scipy's
+        hyperu is non-finite."""
+        h = make_hop(8, 6, 1, db)
+        link = fr.RelayLink(h, h, proto)
+        assert closed(link, fr.BPSK) == pytest.approx(
+            fr.aber_quadrature(link, fr.BPSK, basis="closed"), rel=1e-9)
+
+
 class TestMonteCarloKernelConsistency:
     def test_expectation_matches_definition(self):
         """Averaging Gamma(P, Q g)/(2 Gamma(P)) over end-to-end SNR

@@ -72,6 +72,16 @@ class TestTypes:
             fr.HopChannel(mg=mg, pointing=fr.Pointing(xi_sq=1.0, a0=1.0),
                           gamma_bar=0.0)
 
+    def test_kernel_scale_cached_outside_identity(self):
+        """kernel_scale is computed once per hop; equality and hashing
+        still see only the fields."""
+        fresh, used = make_hop(4, 2, 1, 10.0), make_hop(4, 2, 1, 10.0)
+        scale = used.kernel_scale
+        assert used.__dict__["kernel_scale"] == scale
+        assert "kernel_scale" not in fresh.__dict__
+        assert fresh == used and hash(fresh) == hash(used)
+        assert fresh.kernel_scale == scale
+
 
 class TestMeanIrradiance:
     def test_unit_channel(self):

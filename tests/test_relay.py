@@ -162,6 +162,17 @@ class TestNumericOracle:
             for x in (0.5, 3.0):
                 assert abs(fr.cdf(link, x) - fr.cdf_numeric(link, x)) < 1e-6
 
+    @pytest.mark.parametrize("db", [10.0, 30.0])
+    @pytest.mark.parametrize("proto", [fr.CsiAf(0), fr.CsiAf(1),
+                                       fr.FixedAf(), fr.Df()])
+    def test_strong_turbulence(self, proto, db):
+        """(8, 6, 1): a 52,500-term CSI table whose merged terms and
+        distinct Bessel arguments are far fewer than its terms."""
+        h = make_hop(8, 6, 1, db)
+        link = fr.RelayLink(h, h, proto)
+        for x in (1.0, 10.0):
+            assert abs(fr.cdf(link, x) - fr.cdf_numeric(link, x)) <= 1e-12
+
     def test_evaluates_outside_integer_conditions(self):
         h = make_hop(2.9, 1.7, 0.8, 10.0)
         link = fr.RelayLink(h, h, fr.CsiAf(q=0))
@@ -170,6 +181,74 @@ class TestNumericOracle:
         val = fr.cdf_numeric(link, 1.0)
         assert 0.0 < val < 1.0
         assert fr.link_mode(link) == "numeric"
+
+
+def _termwise_tail(link, x):
+    """Tail sum of the AF CDFs with one term per kernel index tuple, as
+    the sums are written, without merging."""
+    k1, k2 = fr.auto_kernel(link.hop1), fr.auto_kernel(link.hop2)
+    lg = math.lgamma
+    binom = lambda n, k: lg(n + 1.0) - lg(k + 1.0) - lg(n - k + 1.0)
+    terms = []
+    for lc1, m1, lam1 in zip(k1.log_coef, k1.power, k1.rate):
+        for lc2, m2, lam2 in zip(k2.log_coef, k2.power, k2.rate):
+            lead = math.log(2.0) + lc1 + lc2 + lg(m1)
+            for r1 in range(m1):
+                for s in range(r1 + 1):
+                    if isinstance(link.protocol, fr.FixedAf):
+                        u = fr.resolve_gain(link)
+                        half = 0.5 * (m2 - s)
+                        terms.append(math.exp(
+                            lead - lg(r1 + 1.0) + binom(r1, s)
+                            + (half + r1 - m1) * math.log(lam1)
+                            - half * math.log(lam2)
+                            + 0.5 * (m2 + s) * math.log(u)
+                            + (half + r1) * math.log(x) - lam1 * x)
+                            * fr.bessel_k(m2 - s,
+                                          2.0 * math.sqrt(lam1 * lam2 * u * x)))
+                        continue
+                    z = x * x + link.protocol.q * x
+                    for p in range(m2):
+                        half = 0.5 * (p - s + 1.0)
+                        terms.append(math.exp(
+                            lead - lg(r1 + 1.0) + binom(r1, s)
+                            + binom(m2 - 1, p)
+                            + (half + r1 - m1) * math.log(lam1)
+                            - half * math.log(lam2)
+                            + 0.5 * (p + s + 1.0) * math.log(z)
+                            + (m2 + r1 - p - s - 1.0) * math.log(x)
+                            - (lam1 + lam2) * x)
+                            * fr.bessel_k(p - s + 1,
+                                          2.0 * math.sqrt(lam1 * lam2 * z)))
+    return math.fsum(terms)
+
+
+class TestLinkPlan:
+    @pytest.mark.parametrize("proto", [fr.CsiAf(0), fr.CsiAf(1),
+                                       fr.FixedAf()])
+    def test_merged_table_matches_termwise_sum(self, proto):
+        """Merging terms and sharing Bessel factors changes only the
+        rounding of the tail sum."""
+        link = fr.RelayLink(make_hop(5, 4, 1, 13.0), make_hop(4, 3, 1, 7.0),
+                            proto)
+        plan = fr.LinkPlan(link)
+        for x in (0.05, 0.7, 6.0):
+            z = x * x + proto.q * x if isinstance(proto, fr.CsiAf) else x
+            assert plan.table.tail(x, z) == pytest.approx(
+                _termwise_tail(link, x), rel=1e-13)
+
+    def test_routes_and_gain(self):
+        h = make_hop(4, 2, 1, 10.0)
+        plan = fr.LinkPlan(fr.RelayLink(h, h, fr.FixedAf()))
+        assert plan.mode == "closed"
+        assert plan.gain == fr.fixed_gain(h)
+        assert plan.outage(1.0) == fr.outage(plan.link, 1.0)
+        hn = make_hop(2.9, 1.7, 0.8, 10.0)
+        numeric = fr.LinkPlan(fr.RelayLink(hn, hn, fr.CsiAf(0)))
+        assert numeric.mode == "numeric" and numeric.kernels is None
+        assert numeric.cdf(1.0) == fr.cdf_numeric(numeric.link, 1.0)
+        with pytest.raises(IntegerConditionError):
+            numeric.require_kernels()
 
 
 class TestOutage:

@@ -6,6 +6,7 @@ the library's accuracy contract of 1e-10 relative.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,17 @@ class TestGauss2F1:
         with pytest.raises(ValueError):
             fr.gauss_2f1(1.0, 1.0, 2.0, -0.1)
 
+    def test_elementwise(self):
+        z = np.array([0.0, 0.3, 0.9])
+        vals = fr.gauss_2f1(1.0, 1.0, 2.0, z)
+        assert vals.shape == z.shape
+        for zi, v in zip(z, vals):
+            assert v == fr.gauss_2f1(1.0, 1.0, 2.0, float(zi))
+        with pytest.raises(ValueError):
+            fr.gauss_2f1(1.0, 1.0, 2.0, np.array([0.5, 1.0]))
+        with pytest.raises(ValueError):
+            fr.gauss_2f1(1.0, 1.0, np.array([2.0, -1.0]), 0.5)
+
 
 class TestWhittakerW:
     def test_mu_symmetry(self):
@@ -242,6 +254,34 @@ class TestWhittakerW:
     def test_domain(self):
         with pytest.raises(ValueError):
             fr.whittaker_w(0.0, 0.5, 0.0)
+        with pytest.raises(ValueError):
+            fr.whittaker_w(0.0, 0.5, np.array([1.0, -1.0]))
+
+    def test_elementwise(self):
+        kappa = np.array([-0.7, 0.2, -1.0])
+        mu = np.array([0.4, 1.1, 1.0])
+        vals = fr.whittaker_w(kappa, mu, 2.0)
+        assert vals.shape == kappa.shape
+        for k, m, v in zip(kappa, mu, vals):
+            assert v == fr.whittaker_w(float(k), float(m), 2.0)
+
+    # (a, b, z) of the fixed-gain ABER at (alpha, beta, xi^2) = (8, 6, 1),
+    # where scipy's hyperu is non-finite
+    @pytest.mark.parametrize("a", [3.5, 5.5, 7.5, 9.5])
+    @pytest.mark.parametrize("b", [4.0, 6.0])
+    @pytest.mark.parametrize("z", [1.3e-4, 1.3e-3, 1.3e-2])
+    def test_hyperu_fallback_against_mpmath(self, a, b, z):
+        mpmath = pytest.importorskip("mpmath")
+        from fso_relay.specfun import _hyperu_quadrature
+
+        mpmath.mp.dps = 30
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = _hyperu_quadrature(a, b, z)
+            w = fr.whittaker_w(0.5 * b - a, 0.5 * (b - 1.0), z)
+        assert val == pytest.approx(float(mpmath.hyperu(a, b, z)), rel=1e-10)
+        assert w == pytest.approx(
+            float(mpmath.whitw(0.5 * b - a, 0.5 * (b - 1.0), z)), rel=1e-10)
 
 
 class TestErf:
