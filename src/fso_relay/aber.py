@@ -29,7 +29,7 @@ from scipy.special import gammaln
 from .errors import IntegerConditionError
 from .hop import ccdf_terms
 from .relay import (CsiAf, Df, FixedAf, LinkPlan, RelayLink, TermTable,
-                    cdf_numeric)
+                    _oracle_cdf, _oracle_gain)
 from .specfun import gauss_2f1, whittaker_w
 
 _BER_FLOOR = 1e-300
@@ -87,19 +87,17 @@ def aber_quadrature(link: RelayLink, mod: Modulation,
                     basis: str = "auto") -> float:
     """ABER by numeric kernel integration.
 
-    basis 'closed' integrates the closed-form CDF (default when the link
-    supports it -- the kernel integral stays an independent check of the
-    symbolic ABER sums); 'numeric' integrates the quadrature CDF, the
-    only route for links that fail the integer conditions.
+    basis 'auto' integrates the link's LinkPlan CDF (the closed-form CDF
+    where the link supports it -- the kernel integral stays an
+    independent check of the symbolic ABER sums); 'numeric' integrates
+    the quadrature CDF of cdf_numeric.
     """
     if basis == "numeric":
-        return aber_from_cdf(lambda z: cdf_numeric(link, z), mod)
-    if basis not in ("auto", "closed"):
+        gain = _oracle_gain(link)
+        return aber_from_cdf(lambda z: _oracle_cdf(link, gain, z), mod)
+    if basis != "auto":
         raise ValueError(f"unknown basis {basis!r}")
-    plan = LinkPlan(link)
-    if basis == "closed":
-        plan.require_kernels()
-    return aber_from_cdf(plan.cdf, mod)
+    return aber_from_cdf(LinkPlan(link).cdf, mod)
 
 
 def _exact_plan(link: RelayLink) -> LinkPlan:

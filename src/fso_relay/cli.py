@@ -91,6 +91,19 @@ class Scenario:
         return 10.0 ** (self.gamma_th_db / 10.0)
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ScenarioError(
+            f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _require(doc: dict, what: str, *keys: str) -> None:
+    for key in keys:
+        if key not in doc:
+            raise ScenarioError(f"{what} needs {key!r}")
+
+
 def _parse_hop_spec(doc: dict) -> HopSpec:
     xi_sq = float(doc.get("xi_sq", 1.0))
     if "r_over_wz" in doc and "A0" in doc:
@@ -102,7 +115,9 @@ def _parse_hop_spec(doc: dict) -> HopSpec:
         pointing = Pointing.from_geometry(xi_sq, r=ratio, w_z=1.0)
     gg = None
     if "mg" in doc:
-        mg = MixtureGamma.from_json_dict(doc["mg"])
+        mg_doc = _object(doc["mg"], "mg")
+        _require(mg_doc, "mg", "terms")
+        mg = MixtureGamma.from_json_dict(mg_doc)
     elif "alpha" in doc and "beta" in doc:
         gg = GammaGammaParams(alpha=float(doc["alpha"]), beta=float(doc["beta"]))
         mg = fit_gamma_gamma(gg, int(doc.get("L", 10)))
@@ -118,12 +133,13 @@ def load_scenario(path: str) -> Scenario:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
+    doc = _object(doc, "scenario")
     if doc.get("schema") != 1:
         raise ScenarioError(f"unsupported schema {doc.get('schema')!r}")
     hops_doc = doc.get("hops")
     if not isinstance(hops_doc, list) or len(hops_doc) not in (1, 2):
         raise ScenarioError("hops must be a list of one or two specs")
-    specs = [_parse_hop_spec(h) for h in hops_doc]
+    specs = [_parse_hop_spec(_object(h, "hop")) for h in hops_doc]
     if len(specs) == 1:
         specs = [specs[0], specs[0]]
     protocols = tuple(doc.get("protocols", []))
@@ -132,11 +148,13 @@ def load_scenario(path: str) -> Scenario:
     for p in protocols:
         if p not in _PROTOCOLS:
             raise ScenarioError(f"unknown protocol {p!r}; choose from {_PROTOCOLS}")
-    mod_doc = doc.get("modulation", {"P": 0.5, "Q": 1.0})
+    mod_doc = _object(doc.get("modulation", {"P": 0.5, "Q": 1.0}), "modulation")
+    _require(mod_doc, "modulation", "P", "Q")
     modulation = Modulation(float(mod_doc["P"]), float(mod_doc["Q"]))
     sweep = doc.get("sweep")
     if not sweep:
         raise ScenarioError("sweep block required")
+    _require(_object(sweep, "sweep"), "sweep", "start_db", "stop_db")
     start, stop = float(sweep["start_db"]), float(sweep["stop_db"])
     step = float(sweep.get("step_db", 5.0))
     if step <= 0.0 or stop < start:

@@ -26,7 +26,6 @@ bound regime carry total mass > 1 and the consumers correct for it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -61,31 +60,22 @@ class Pointing:
     """Zero-boresight pointing-error parameters.
 
     xi_sq is the squared ratio of equivalent beam radius to jitter
-    standard deviation; a0 the pointing loss at perfect alignment.  When
-    the geometry (r, w_z) is supplied, a0 must match it.
+    standard deviation; a0 the pointing loss at perfect alignment.
     """
 
     xi_sq: float
     a0: float
-    r: float | None = None
-    w_z: float | None = None
 
     def __post_init__(self) -> None:
         if self.xi_sq <= 0.0:
             raise ValueError(f"xi_sq must be positive, got {self.xi_sq}")
         if not 0.0 < self.a0 <= 1.0:
             raise ValueError(f"a0 must lie in (0, 1], got {self.a0}")
-        if (self.r is None) != (self.w_z is None):
-            raise ValueError("give both r and w_z or neither")
-        if self.r is not None:
-            expected = pointing_loss(self.r, self.w_z)
-            if abs(expected - self.a0) > 1e-12:
-                raise ValueError(
-                    f"a0={self.a0} inconsistent with geometry value {expected}")
 
     @classmethod
     def from_geometry(cls, xi_sq: float, r: float, w_z: float) -> "Pointing":
-        return cls(xi_sq=xi_sq, a0=pointing_loss(r, w_z), r=r, w_z=w_z)
+        """Pointing with a0 derived from aperture radius r and beam waist w_z."""
+        return cls(xi_sq=xi_sq, a0=pointing_loss(r, w_z))
 
 
 @dataclass(frozen=True)
@@ -95,34 +85,17 @@ class HopChannel:
     gamma_bar is the mean received SNR (linear).  gg optionally records
     the Gamma-Gamma parameters the mixture was fitted from, which the
     Monte Carlo oracle uses to sample the original channel instead of
-    the fit.  power, when given, is the (P_t, eta, N0) triple gamma_bar
-    was derived from and is checked for consistency.
+    the fit.
     """
 
     mg: MixtureGamma
     pointing: Pointing
     gamma_bar: float
     gg: GammaGammaParams | None = None
-    power: tuple[float, float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.gamma_bar <= 0.0:
             raise ValueError(f"gamma_bar must be positive, got {self.gamma_bar}")
-        if self.power is not None:
-            p_t, eta, n0 = self.power
-            derived = p_t * eta * mean_irradiance(self) / n0
-            if abs(derived - self.gamma_bar) > 1e-9 * max(1.0, abs(self.gamma_bar)):
-                raise ValueError(
-                    f"gamma_bar={self.gamma_bar} inconsistent with power triple "
-                    f"(would give {derived})")
-
-    @classmethod
-    def from_power(cls, mg: MixtureGamma, pointing: Pointing,
-                   p_t: float, eta: float, n0: float,
-                   gg: GammaGammaParams | None = None) -> "HopChannel":
-        ibar = (pointing.xi_sq * pointing.a0 / (1.0 + pointing.xi_sq)) * mg_mean(mg)
-        return cls(mg=mg, pointing=pointing, gamma_bar=p_t * eta * ibar / n0,
-                   gg=gg, power=(p_t, eta, n0))
 
     @cached_property
     def kernel_scale(self) -> float:
@@ -344,63 +317,3 @@ def snr_ccdf_general(hop: HopChannel, x: float) -> float:
                      * upper_inc_gamma(b - xi2, lam_x))
     val = math.fsum(terms)
     return min(1.0, max(0.0, val))
-
-
-def integer_bracket(hop: HopChannel) -> tuple[HopChannel, HopChannel]:
-    """Bracket a hop with non-integer fading shapes between the nearest
-    hops satisfying the integer conditions.
-
-    Each shape b_i is moved to xi^2 + floor(b_i - xi^2) resp.
-    xi^2 + ceil(b_i - xi^2) (floor clamped to span 1) and the component
-    masses are preserved, so the pair of returned hops supports the
-    closed-form paths and straddles the original fading severity.
-    """
-    xi2 = _as_positive_int(hop.pointing.xi_sq, "xi^2")
-    lo_terms, hi_terms = [], []
-    for a, b, c in hop.mg.terms:
-        span = b - xi2
-        if span < 1.0 - _INT_TOL:
-            raise IntegerConditionError(
-                f"cannot bracket: b - xi^2 = {span} < 1")
-        mass = a * math.exp(gammaln(b) - b * math.log(c))
-        for target, out in ((max(1, math.floor(span)), lo_terms),
-                            (max(1, math.ceil(span)), hi_terms)):
-            b_new = float(xi2 + target)
-            a_new = mass * math.exp(b_new * math.log(c) - gammaln(b_new))
-            out.append((a_new, b_new, c))
-    mk = lambda terms: HopChannel(
-        mg=MixtureGamma(terms=tuple(terms)), pointing=hop.pointing,
-        gamma_bar=hop.gamma_bar, gg=hop.gg)
-    return mk(lo_terms), mk(hi_terms)
-
-
-def hop_to_json_dict(hop: HopChannel) -> dict:
-    doc = {
-        "mg": hop.mg.to_json_dict(),
-        "xi_sq": hop.pointing.xi_sq,
-        "A0": hop.pointing.a0,
-        "gamma_bar_db": 10.0 * math.log10(hop.gamma_bar),
-    }
-    if hop.gg is not None:
-        doc["gamma_gamma"] = {"alpha": hop.gg.alpha, "beta": hop.gg.beta}
-    return doc
-
-
-def hop_from_json_dict(doc: dict) -> HopChannel:
-    gg = None
-    if "gamma_gamma" in doc:
-        gg = GammaGammaParams(alpha=float(doc["gamma_gamma"]["alpha"]),
-                              beta=float(doc["gamma_gamma"]["beta"]))
-    return HopChannel(
-        mg=MixtureGamma.from_json_dict(doc["mg"]),
-        pointing=Pointing(xi_sq=float(doc["xi_sq"]), a0=float(doc["A0"])),
-        gamma_bar=10.0 ** (float(doc["gamma_bar_db"]) / 10.0),
-        gg=gg)
-
-
-def hop_dumps(hop: HopChannel) -> str:
-    return json.dumps(hop_to_json_dict(hop))
-
-
-def hop_loads(text: str) -> HopChannel:
-    return hop_from_json_dict(json.loads(text))

@@ -2,7 +2,10 @@
 
 Samples the composite channel (turbulence fading x pointing attenuation),
 composes the end-to-end SNR sample-wise per protocol, and estimates
-outage and ABER with binomial/sample standard errors.
+outage and ABER with binomial/sample standard errors.  A hop's fading is
+drawn from the Gamma-Gamma channel its mixture was fitted from when the
+hop records one (hop.gg), so the fit stays under test, and from the
+mixture otherwise.
 
 Determinism contract: samples are generated in fixed-size blocks, block
 b drawing from default_rng(SeedSequence(seed, spawn_key=(b,))), and the
@@ -27,37 +30,10 @@ from scipy.special import gammaincc
 
 from .aber import Modulation
 from .hop import HopChannel, mean_irradiance
-from .mgfit import GammaGammaParams, MixtureGamma, mg_sample
-from .relay import CsiAf, FixedAf, RelayLink, resolve_gain
+from .mgfit import mg_sample
+from .relay import CsiAf, FixedAf, RelayLink, _oracle_gain
 
 _BLOCK = 1 << 16
-
-
-@dataclass(frozen=True)
-class FadingSource:
-    """Where a hop's turbulence samples come from: the original
-    Gamma-Gamma channel (default -- keeps the mixture fit under test) or
-    the mixture itself."""
-
-    kind: str
-    gg: GammaGammaParams | None = None
-    mg: MixtureGamma | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("gamma_gamma", "mg"):
-            raise ValueError(f"unknown fading source kind {self.kind!r}")
-        if self.kind == "gamma_gamma" and self.gg is None:
-            raise ValueError("gamma_gamma source needs parameters")
-        if self.kind == "mg" and self.mg is None:
-            raise ValueError("mg source needs a mixture")
-
-    @classmethod
-    def gamma_gamma(cls, alpha: float, beta: float) -> "FadingSource":
-        return cls(kind="gamma_gamma", gg=GammaGammaParams(alpha, beta))
-
-    @classmethod
-    def mixture(cls, mg: MixtureGamma) -> "FadingSource":
-        return cls(kind="mg", mg=mg)
 
 
 @dataclass(frozen=True)
@@ -65,7 +41,6 @@ class McConfig:
     samples: int
     seed: int
     streams: int = 1
-    fading_source: FadingSource | tuple[FadingSource, FadingSource] | None = None
 
     def __post_init__(self) -> None:
         if self.samples < 10_000:
@@ -73,16 +48,6 @@ class McConfig:
                 f"need >= 1e4 samples for CI validity, got {self.samples}")
         if self.streams < 1:
             raise ValueError(f"streams must be >= 1, got {self.streams}")
-
-    def source_for(self, hop_index: int, hop: HopChannel) -> FadingSource:
-        src = self.fading_source
-        if isinstance(src, tuple):
-            return src[hop_index]
-        if src is not None:
-            return src
-        if hop.gg is not None:
-            return FadingSource.gamma_gamma(hop.gg.alpha, hop.gg.beta)
-        return FadingSource.mixture(hop.mg)
 
 
 @dataclass(frozen=True)
@@ -117,29 +82,23 @@ def sample_gamma_gamma(alpha: float, beta: float,
             * rng.standard_gamma(beta, size) / beta)
 
 
-def _sample_fading(source: FadingSource, rng: np.random.Generator, size):
-    if source.kind == "gamma_gamma":
-        return sample_gamma_gamma(source.gg.alpha, source.gg.beta, rng, size)
-    return mg_sample(source.mg, rng, size)
-
-
-def sample_snr(hop: HopChannel, rng: np.random.Generator, size=None,
-               source: FadingSource | None = None):
-    """Per-hop SNR draws gamma_bar * I_a * I_p / mean(I_a * I_p)."""
-    if source is None:
-        source = (FadingSource.gamma_gamma(hop.gg.alpha, hop.gg.beta)
-                  if hop.gg is not None else FadingSource.mixture(hop.mg))
+def sample_snr(hop: HopChannel, rng: np.random.Generator, size=None):
+    """Per-hop SNR draws gamma_bar * I_a * I_p / mean(I_a * I_p), I_a from
+    hop.gg when set, from the mixture otherwise."""
     i_p = sample_pointing(hop, rng, size)
-    i_a = _sample_fading(source, rng, size)
+    if hop.gg is not None:
+        i_a = sample_gamma_gamma(hop.gg.alpha, hop.gg.beta, rng, size)
+    else:
+        i_a = mg_sample(hop.mg, rng, size)
     return hop.gamma_bar * i_a * i_p / mean_irradiance(hop)
 
 
 def _end_to_end(link: RelayLink, gain, rng: np.random.Generator,
-                size: int, sources) -> np.ndarray:
+                size: int) -> np.ndarray:
     # draw order is part of the determinism contract: hop1 pointing,
     # hop1 fading, hop2 pointing, hop2 fading
-    g1 = sample_snr(link.hop1, rng, size, sources[0])
-    g2 = sample_snr(link.hop2, rng, size, sources[1])
+    g1 = sample_snr(link.hop1, rng, size)
+    g2 = sample_snr(link.hop2, rng, size)
     proto = link.protocol
     if isinstance(proto, CsiAf):
         return g1 * g2 / (g1 + g2 + proto.q)
@@ -162,26 +121,17 @@ def _blocked_reduce(cfg: McConfig, block_fn):
                  for i in range(len(partials[0])))
 
 
-def _link_sources(link: RelayLink, cfg: McConfig):
-    return (cfg.source_for(0, link.hop1), cfg.source_for(1, link.hop2))
-
-
-def _resolved_gain(link: RelayLink):
-    return resolve_gain(link) if isinstance(link.protocol, FixedAf) else None
-
-
 def estimate_outage(link: RelayLink, gamma_th: float,
                     cfg: McConfig) -> Estimate:
     """Outage estimate: indicator mean of {end-to-end SNR < gamma_th}."""
     if gamma_th <= 0.0:
         raise ValueError(f"gamma_th must be positive, got {gamma_th}")
-    sources = _link_sources(link, cfg)
-    gain = _resolved_gain(link)
+    gain = _oracle_gain(link)
 
     def block(b: int, size: int):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed,
                                                            spawn_key=(b,)))
-        g = _end_to_end(link, gain, rng, size, sources)
+        g = _end_to_end(link, gain, rng, size)
         return (float(np.count_nonzero(g < gamma_th)),)
 
     (hits,) = _blocked_reduce(cfg, block)
@@ -198,13 +148,12 @@ def estimate_outage(link: RelayLink, gamma_th: float,
 def estimate_aber(link: RelayLink, mod: Modulation,
                   cfg: McConfig) -> Estimate:
     """ABER estimate: sample mean of Gamma(P, Q*gamma) / (2 Gamma(P))."""
-    sources = _link_sources(link, cfg)
-    gain = _resolved_gain(link)
+    gain = _oracle_gain(link)
 
     def block(b: int, size: int):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed,
                                                            spawn_key=(b,)))
-        g = _end_to_end(link, gain, rng, size, sources)
+        g = _end_to_end(link, gain, rng, size)
         kern = 0.5 * gammaincc(mod.p, mod.q * g)
         return (float(kern.sum()), float(np.square(kern).sum()))
 

@@ -10,7 +10,6 @@ beta) and gives c_i = alpha*beta / t_i at the rule's nodes t_i.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -63,17 +62,10 @@ class MixtureGamma:
     def to_json_dict(self) -> dict:
         return {"terms": [[a, b, c] for a, b, c in self.terms]}
 
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, doc: dict) -> "MixtureGamma":
         return cls(terms=tuple((float(a), float(b), float(c))
                                for a, b, c in doc["terms"]))
-
-    @classmethod
-    def loads(cls, text: str) -> "MixtureGamma":
-        return cls.from_json_dict(json.loads(text))
 
 
 def fit_gamma_gamma(gg: GammaGammaParams, L: int) -> MixtureGamma:

@@ -20,6 +20,11 @@ the total, which is a probability) and reduced with compensated
 summation, because terms mix magnitudes across many orders once the
 average SNRs are large.
 
+cdf, outage and link_mode evaluate a link through its LinkPlan; cdf
+needs the kernel sums, outage falls back to quadrature.  cdf_numeric is
+the quadrature oracle, valid for any real parameters; it and the Monte
+Carlo oracle take the fixed gain from the link's LinkPlan.
+
 When a hop is in the upper-bound regime its kernel mass N exceeds 1 and
 the plain tail sums would produce a LOWER bound on outage.  The
 evaluators therefore use the mass-corrected combinations
@@ -314,7 +319,7 @@ class LinkPlan:
         if x == 0.0:
             return 0.0
         if self.kernels is None:
-            return cdf_numeric(self.link, x)
+            return _oracle_cdf(self.link, self.gain, x)
         k1, k2 = self.kernels
         proto = self.link.protocol
         if isinstance(proto, CsiAf):
@@ -341,36 +346,8 @@ def link_mode(link: RelayLink) -> str:
     return LinkPlan(link).mode
 
 
-def resolve_gain(link: RelayLink) -> float:
-    """Explicit gain if the protocol carries one, else the auto gain."""
-    if not isinstance(link.protocol, FixedAf):
-        raise ValueError("resolve_gain applies to fixed-gain links")
-    return LinkPlan(link).gain
-
-
 def _clamp01(v: float) -> float:
     return min(1.0, max(0.0, v))
-
-
-def cdf_csi(link: RelayLink, x: float) -> float:
-    """End-to-end SNR CDF of the CSI-assisted AF link."""
-    if not isinstance(link.protocol, CsiAf):
-        raise ValueError("cdf_csi needs a CsiAf link")
-    return cdf(link, x)
-
-
-def cdf_fixed(link: RelayLink, x: float) -> float:
-    """End-to-end SNR CDF of the fixed-gain AF link."""
-    if not isinstance(link.protocol, FixedAf):
-        raise ValueError("cdf_fixed needs a FixedAf link")
-    return cdf(link, x)
-
-
-def cdf_df(link: RelayLink, x: float) -> float:
-    """End-to-end SNR CDF of the decode-and-forward link."""
-    if not isinstance(link.protocol, Df):
-        raise ValueError("cdf_df needs a Df link")
-    return cdf(link, x)
 
 
 def cdf(link: RelayLink, x: float) -> float:
@@ -389,6 +366,18 @@ def cdf_numeric(link: RelayLink, x: float) -> float:
     per-hop statistics come through the incomplete-Gamma (non-reduced)
     routes, so this path shares no algebra with the closed-form sums.
     """
+    return _oracle_cdf(link, _oracle_gain(link), x)
+
+
+def _oracle_gain(link: RelayLink) -> float | None:
+    """The fixed gain of a fixed-gain AF link, as its LinkPlan resolves
+    it; None for the other protocols."""
+    return LinkPlan(link).gain if isinstance(link.protocol, FixedAf) else None
+
+
+def _oracle_cdf(link: RelayLink, gain: float | None, x: float) -> float:
+    """cdf_numeric with the fixed gain resolved by the caller, so that
+    callers evaluating many x resolve it once."""
     if x < 0.0:
         raise ValueError(f"cdf needs x >= 0, got {x}")
     if x == 0.0:
@@ -407,7 +396,6 @@ def cdf_numeric(link: RelayLink, x: float) -> float:
 
         val, _ = quad(integrand, -np.inf, np.inf, **_QUAD_OPTS)
         return _clamp01(1.0 - val)
-    gain = resolve_gain(link)
 
     def integrand(u: float) -> float:
         if abs(u) > _EXP_RANGE:
@@ -420,19 +408,7 @@ def cdf_numeric(link: RelayLink, x: float) -> float:
     return _clamp01(val)
 
 
-def outage(link: RelayLink, gamma_th: float, method: str = "auto") -> float:
-    """Outage probability P[end-to-end SNR < gamma_th].
-
-    method 'auto' prefers the closed form and falls back to quadrature
-    when the integer conditions fail; 'closed' and 'numeric' force a
-    route.
-    """
-    if gamma_th <= 0.0:
-        raise ValueError(f"gamma_th must be positive, got {gamma_th}")
-    if method == "closed":
-        return cdf(link, gamma_th)
-    if method == "numeric":
-        return cdf_numeric(link, gamma_th)
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
+def outage(link: RelayLink, gamma_th: float) -> float:
+    """Outage probability P[end-to-end SNR < gamma_th]: the closed form,
+    or quadrature when the integer conditions fail."""
     return LinkPlan(link).outage(gamma_th)

@@ -1,8 +1,9 @@
 """Real-valued special functions used by the closed-form link statistics.
 
-Everything here is a deterministic pure function.  Where a battle-tested
-scipy routine exists (Gamma, Bessel K, Gauss/confluent hypergeometric,
-error function, Gauss-Laguerre nodes) it is used as the backend; the
+Everything here is a deterministic pure function.  Bessel K, the Gauss
+and confluent hypergeometric functions and the Gauss-Laguerre nodes wrap
+their scipy routines with argument checks and overflow handling; the
+Gamma and error functions are used directly from scipy and math.  The
 pieces scipy does not provide -- the upper incomplete Gamma with
 non-positive first argument and its exponentially-scaled variant -- are
 implemented here.  Small arguments use the finite downward recurrence
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
@@ -32,49 +32,19 @@ _EULER_GAMMA = 0.5772156649015329
 # ~5e-14 relative for x >= 2 at any a <= 0 (and for x > a + 2 generally);
 # below that the downward recurrence is cancellation-free instead
 _CF_MIN_X = 2.0
+# relative step at which the continued fraction stops, and its term cap
+_CF_TOL = 1e-14
+_CF_MAX_TERMS = 500
 
 
-@dataclass(frozen=True)
-class Accuracy:
-    """Accuracy budget for iterative evaluations.
-
-    rel_tol bounds the relative truncation error of series/continued
-    fractions; max_terms caps their length.
-    """
-
-    rel_tol: float = 1e-10
-    max_terms: int = 500
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < 1e-3:
-            raise ValueError(f"rel_tol out of range: {self.rel_tol}")
-        if self.max_terms < 50:
-            raise ValueError(f"max_terms too small: {self.max_terms}")
-
-
-DEFAULT_ACCURACY = Accuracy()
-
-
-def gamma(x: float) -> float:
-    """Gamma function on the reals, rejecting the poles."""
-    if x <= 0.0 and x == math.floor(x):
-        raise ValueError(f"gamma pole at x={x}")
-    return float(sp.gamma(x))
-
-
-def erf(x: float) -> float:
-    """Error function."""
-    return math.erf(x)
-
-
-def _gamma_cf(a: float, x: float, accuracy: Accuracy) -> float:
+def _gamma_cf(a: float, x: float) -> float:
     """Modified Lentz continued fraction h with Gamma(a, x) = e^{-x} x^a h."""
     tiny = 1e-300
     b = x + 1.0 - a
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
-    for i in range(1, accuracy.max_terms):
+    for i in range(1, _CF_MAX_TERMS):
         an = -i * (i - a)
         b += 2.0
         d = an * d + b
@@ -86,7 +56,7 @@ def _gamma_cf(a: float, x: float, accuracy: Accuracy) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < min(accuracy.rel_tol, 1e-14):
+        if abs(delta - 1.0) < _CF_TOL:
             return h
     raise ConvergenceError(
         f"continued fraction for Gamma({a}, {x}) did not converge")
@@ -105,8 +75,7 @@ def upper_inc_gamma(a: float, x: float) -> float:
     if a > 0.0:
         return float(sp.gammaincc(a, x) * sp.gamma(a))
     if x >= _CF_MIN_X:
-        return math.exp(-x + a * math.log(x)) * _gamma_cf(a, x,
-                                                          DEFAULT_ACCURACY)
+        return math.exp(-x + a * math.log(x)) * _gamma_cf(a, x)
     order = a - math.floor(a)
     if order == 0.0:
         g = float(sp.exp1(x))
@@ -118,8 +87,7 @@ def upper_inc_gamma(a: float, x: float) -> float:
     return g
 
 
-def scaled_upper_inc_gamma(a: float, x: float,
-                           accuracy: Accuracy = DEFAULT_ACCURACY) -> float:
+def scaled_upper_inc_gamma(a: float, x: float) -> float:
     """e^x * Gamma(a, x), stable for large x where e^x alone overflows.
 
     Needed by the fixed-gain formula, whose terms are exactly of this
@@ -128,7 +96,7 @@ def scaled_upper_inc_gamma(a: float, x: float,
     if x <= 0.0:
         raise ValueError(f"scaled_upper_inc_gamma needs x > 0, got {x}")
     if x >= max(_CF_MIN_X, a + 2.0):
-        return math.exp(a * math.log(x)) * _gamma_cf(a, x, accuracy)
+        return math.exp(a * math.log(x)) * _gamma_cf(a, x)
     return math.exp(x) * upper_inc_gamma(a, x)
 
 

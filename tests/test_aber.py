@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import fso_relay as fr
+from fso_relay import relay
 from fso_relay.errors import IntegerConditionError
 from helpers import make_hop, unit_hop
 
@@ -83,7 +84,7 @@ class TestCsiAber:
         with pytest.raises(ValueError):
             fr.aber_csi(link, fr.BPSK)
         # served through quadrature over its closed-form CDF instead
-        val = fr.aber_quadrature(link, fr.BPSK, basis="closed")
+        val = fr.aber_quadrature(link, fr.BPSK)
         assert val == pytest.approx(fr.aber(link, fr.BPSK), rel=1e-10)
         assert val > fr.aber(unit_link(fr.CsiAf(q=0)), fr.BPSK)
 
@@ -174,7 +175,30 @@ class TestStrongTurbulence:
         h = make_hop(8, 6, 1, db)
         link = fr.RelayLink(h, h, proto)
         assert closed(link, fr.BPSK) == pytest.approx(
-            fr.aber_quadrature(link, fr.BPSK, basis="closed"), rel=1e-9)
+            fr.aber_quadrature(link, fr.BPSK), rel=1e-9)
+
+
+class TestQuadratureOracle:
+    def test_fixed_gain_resolved_once(self, monkeypatch):
+        """The quadrature ABERs of a fixed-gain link off the integer
+        conditions compute the gain once, not once per CDF point."""
+        calls = []
+        gain_fn = relay.fixed_gain_numeric
+
+        def counted(hop):
+            calls.append(hop)
+            return gain_fn(hop)
+
+        monkeypatch.setattr(relay, "fixed_gain_numeric", counted)
+        h = fr.HopChannel(mg=fr.MixtureGamma(terms=((1.0, 2.0, 1.0),)),
+                          pointing=fr.Pointing(xi_sq=1.5, a0=1.0),
+                          gamma_bar=1.0)
+        link = fr.RelayLink(h, h, fr.FixedAf())
+        val = fr.aber_quadrature(link, fr.BPSK, basis="numeric")
+        assert len(calls) == 1
+        calls.clear()
+        assert fr.aber(link, fr.BPSK) == pytest.approx(val, rel=1e-12)
+        assert len(calls) == 1
 
 
 class TestMonteCarloKernelConsistency:

@@ -160,10 +160,19 @@ class TestScenarioValidation:
         {"protocols": ["bogus"]},
         {"sweep": {"start_db": 10.0, "stop_db": 0.0, "step_db": 5.0}},
         {"sweep": {"start_db": 0.0, "stop_db": 10.0, "step_db": -1.0}},
+        {"modulation": {"P": 0.5}},
+        {"sweep": {"stop_db": 10.0, "step_db": 5.0}},
+        {"hops": [{"mg": {}, "xi_sq": 1.0, "A0": 1.0}]},
+        {"hops": [5]},
     ])
     def test_bad_configs_exit_2(self, tmp_path, patch, capsys):
         path = write_scenario(tmp_path, **patch)
         assert cli.main(["sweep", "--config", path]) == 2
+
+    def test_top_level_list_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text(json.dumps([UNIT_SCENARIO]))
+        assert cli.main(["sweep", "--config", str(path)]) == 2
 
     def test_missing_file_exit_2(self, capsys):
         assert cli.main(["sweep", "--config", "/nonexistent.json"]) == 2

@@ -1,6 +1,7 @@
-"""Per-hop SNR statistics: densities, tails, kernels, serialization."""
+"""Per-hop SNR statistics: densities, tails, kernels."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,8 +46,6 @@ class TestTypes:
     def test_pointing_geometry_consistency(self):
         p = fr.Pointing.from_geometry(1.0, r=0.1, w_z=1.0)
         assert p.a0 == pytest.approx(0.0197920869452193226, rel=1e-12)
-        with pytest.raises(ValueError, match="inconsistent"):
-            fr.Pointing(xi_sq=1.0, a0=0.5, r=0.1, w_z=1.0)
 
     def test_pointing_validation(self):
         with pytest.raises(ValueError):
@@ -55,16 +54,6 @@ class TestTypes:
             fr.Pointing(xi_sq=1.0, a0=1.5)
         with pytest.raises(ValueError):
             fr.Pointing(xi_sq=1.0, a0=0.0)
-
-    def test_hop_power_triple(self):
-        mg = fr.MixtureGamma(terms=((1.0, 2.0, 1.0),))
-        pt = fr.Pointing(xi_sq=1.0, a0=1.0)
-        hop = fr.HopChannel.from_power(mg, pt, p_t=2.0, eta=0.5, n0=0.25)
-        # Ibar = 1 here, so gamma_bar = 2 * 0.5 / 0.25 = 4
-        assert hop.gamma_bar == pytest.approx(4.0, rel=1e-12)
-        with pytest.raises(ValueError, match="inconsistent"):
-            fr.HopChannel(mg=mg, pointing=pt, gamma_bar=3.9,
-                          power=(2.0, 0.5, 0.25))
 
     def test_gamma_bar_positive(self):
         mg = fr.MixtureGamma(terms=((1.0, 2.0, 1.0),))
@@ -165,8 +154,7 @@ class TestSnrPdf:
         hop = make_hop(4, 2, 1, 10.0)
         rng = np.random.default_rng(17)
         n = 1_000_000
-        draws = np.sort(fr.sample_snr(hop, rng, n,
-                                      source=fr.FadingSource.mixture(hop.mg)))
+        draws = np.sort(fr.sample_snr(replace(hop, gg=None), rng, n))
         grid = draws[:: n // 500]
         emp = np.searchsorted(draws, grid, side="right") / n
         ana = np.array([1.0 - fr.snr_ccdf_general(hop, x) for x in grid])
@@ -331,37 +319,3 @@ class TestPointingFreeLimit:
             sups.append(dev)
         assert all(b2 <= a2 + 1e-12 for a2, b2 in zip(sups, sups[1:]))
         assert sups[-1] < 0.01
-
-
-class TestIntegerBracket:
-    def test_brackets_straddle_at_moderate_snr(self):
-        mg = fr.fit_gamma_gamma(fr.GammaGammaParams(4.0, 2.6), 10)
-        hop = fr.HopChannel(mg=mg, pointing=fr.Pointing(xi_sq=1.0, a0=0.5),
-                            gamma_bar=10.0, )
-        lo, hi = fr.integer_bracket(hop)
-        assert all(b == 2.0 for _, b, _ in lo.mg.terms)
-        assert all(b == 3.0 for _, b, _ in hi.mg.terms)
-        # both support the closed-form path
-        for x in np.geomspace(0.05, hop.gamma_bar, 10):
-            c_lo = fr.snr_ccdf(lo, x)
-            c_hi = fr.snr_ccdf(hi, x)
-            c_orig = fr.snr_ccdf_general(hop, x)
-            assert min(c_lo, c_hi) - 1e-9 <= c_orig <= max(c_lo, c_hi) + 1e-9
-
-    def test_span_below_one_rejected(self):
-        mg = fr.fit_gamma_gamma(fr.GammaGammaParams(4.0, 1.5), 10)
-        hop = fr.HopChannel(mg=mg, pointing=fr.Pointing(xi_sq=1.0, a0=0.5),
-                            gamma_bar=10.0)
-        with pytest.raises(IntegerConditionError):
-            fr.integer_bracket(hop)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        hop = make_hop(4, 2, 1, 12.5)
-        again = fr.hop_loads(fr.hop_dumps(hop))
-        assert again.mg == hop.mg
-        assert again.pointing.xi_sq == hop.pointing.xi_sq
-        assert again.pointing.a0 == pytest.approx(hop.pointing.a0, rel=1e-15)
-        assert again.gamma_bar == pytest.approx(hop.gamma_bar, rel=1e-12)
-        assert again.gg == hop.gg

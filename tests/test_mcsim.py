@@ -1,6 +1,7 @@
 """Monte Carlo sampling, estimators and the determinism contract."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,14 +25,6 @@ class TestConfigTypes:
             fr.Estimate(value=0.5, std_err=0.1, ci95=(0.6, 0.7))
         with pytest.raises(ValueError):
             fr.Estimate(value=0.5, std_err=-0.1, ci95=(0.4, 0.6))
-
-    def test_fading_source_validation(self):
-        with pytest.raises(ValueError):
-            fr.FadingSource(kind="bogus")
-        with pytest.raises(ValueError):
-            fr.FadingSource(kind="gamma_gamma")
-        src = fr.FadingSource.gamma_gamma(4.0, 2.0)
-        assert src.gg.alpha == 4.0
 
 
 class TestSamplePointing:
@@ -96,8 +89,8 @@ class TestSampleSnr:
     def test_empirical_cdf_within_dkw_band(self):
         hop = make_hop(5, 3, 2, 10.0)
         n = 1_000_000
-        draws = np.sort(fr.sample_snr(hop, np.random.default_rng(8), n,
-                                      source=fr.FadingSource.mixture(hop.mg)))
+        draws = np.sort(fr.sample_snr(replace(hop, gg=None),
+                                      np.random.default_rng(8), n))
         for x in np.geomspace(0.05, 80.0, 15):
             emp = np.searchsorted(draws, x, side="right") / n
             ana = 1.0 - fr.snr_ccdf(hop, x)
@@ -108,10 +101,9 @@ class TestSampleSnr:
         channel sampling stays below 1e-2 at L=10."""
         hop = make_hop(4, 2, 1, 10.0)
         n = 400_000
-        a = np.sort(fr.sample_snr(hop, np.random.default_rng(9), n,
-                                  source=fr.FadingSource.mixture(hop.mg)))
-        b = np.sort(fr.sample_snr(hop, np.random.default_rng(10), n,
-                                  source=fr.FadingSource.gamma_gamma(4, 2)))
+        a = np.sort(fr.sample_snr(replace(hop, gg=None),
+                                  np.random.default_rng(9), n))
+        b = np.sort(fr.sample_snr(hop, np.random.default_rng(10), n))
         grid = np.geomspace(0.05, 100.0, 60)
         ks = max(abs(np.searchsorted(a, x) - np.searchsorted(b, x)) / n
                  for x in grid)
@@ -195,12 +187,11 @@ class TestDeterminism:
     def test_sample_wise_protocol_ordering(self):
         h = make_hop(4, 2, 1, 10.0)
         rng = np.random.default_rng(20)
-        src = (fr.FadingSource.gamma_gamma(4, 2),) * 2
         n = 50_000
         df = fr.RelayLink(h, h, fr.Df())
-        g_df = _end_to_end(df, None, np.random.default_rng(21), n, src)
+        g_df = _end_to_end(df, None, np.random.default_rng(21), n)
         g_c0 = _end_to_end(fr.RelayLink(h, h, fr.CsiAf(0)), None,
-                           np.random.default_rng(21), n, src)
+                           np.random.default_rng(21), n)
         g_c1 = _end_to_end(fr.RelayLink(h, h, fr.CsiAf(1)), None,
-                           np.random.default_rng(21), n, src)
+                           np.random.default_rng(21), n)
         assert np.all(g_c1 <= g_c0) and np.all(g_c0 <= g_df)

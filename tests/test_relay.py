@@ -1,6 +1,7 @@
 """End-to-end SNR CDFs for the three relay protocols."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ class TestFixedGain:
 
     def test_explicit_gain_respected(self):
         link = fr.RelayLink(unit_hop(), unit_hop(), fr.FixedAf(gain=3.0))
-        assert fr.resolve_gain(link) == 3.0
+        assert fr.LinkPlan(link).gain == 3.0
 
 
 class TestCsiCdf:
@@ -127,9 +128,9 @@ class TestDfCdf:
         link = fr.RelayLink(h, h, fr.Df())
         rng = np.random.default_rng(3)
         n = 1_000_000
-        src = fr.FadingSource.mixture(h.mg)
-        g = np.minimum(fr.sample_snr(h, rng, n, src),
-                       fr.sample_snr(h, rng, n, src))
+        mixture = replace(h, gg=None)
+        g = np.minimum(fr.sample_snr(mixture, rng, n),
+                       fr.sample_snr(mixture, rng, n))
         g.sort()
         for x in np.geomspace(0.1, 30.0, 12):
             emp = np.searchsorted(g, x, side="right") / n
@@ -196,7 +197,7 @@ def _termwise_tail(link, x):
             for r1 in range(m1):
                 for s in range(r1 + 1):
                     if isinstance(link.protocol, fr.FixedAf):
-                        u = fr.resolve_gain(link)
+                        u = fr.LinkPlan(link).gain
                         half = 0.5 * (m2 - s)
                         terms.append(math.exp(
                             lead - lg(r1 + 1.0) + binom(r1, s)
@@ -268,13 +269,6 @@ class TestOutage:
                                        make_hop(4, 2, 1, db), fr.Df()), 1.0)
                 for db in np.arange(0.0, 41.0, 5.0)]
         assert all(b < a for a, b in zip(vals, vals[1:]))
-
-    def test_method_forcing(self):
-        link = unit_link(fr.Df())
-        assert fr.outage(link, 1.0, method="closed") == pytest.approx(
-            fr.outage(link, 1.0, method="numeric"), abs=1e-9)
-        with pytest.raises(ValueError):
-            fr.outage(link, 1.0, method="magic")
 
 
 class TestCdfShapeProperties:

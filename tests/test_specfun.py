@@ -10,25 +10,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 import fso_relay as fr
-
-
-class TestGamma:
-    def test_factorial(self):
-        assert fr.gamma(5) == pytest.approx(24.0, rel=1e-12)
-
-    def test_half_integer(self):
-        assert fr.gamma(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-12)
-
-    def test_generic_point(self):
-        assert fr.gamma(3.7) == pytest.approx(4.17065178379660317, rel=1e-12)
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -2.0, -17.0])
-    def test_pole_rejected(self, x):
-        with pytest.raises(ValueError):
-            fr.gamma(x)
 
 
 class TestUpperIncGamma:
@@ -60,7 +45,9 @@ class TestUpperIncGamma:
         # Gamma(a) - Gamma(a, x) = lower incomplete ~ x^a / a as x -> 0+
         for a in (0.4, 1.3, 3.0):
             x = 1e-13
-            gap = abs(fr.upper_inc_gamma(a, x) - fr.gamma(a))
+            # the gap allowed is below one ulp of Gamma(a), so the
+            # reference is scipy's Gamma, the one upper_inc_gamma uses
+            gap = abs(fr.upper_inc_gamma(a, x) - special.gamma(a))
             assert gap <= 2.0 * x ** a / a
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -176,7 +163,7 @@ class TestBesselK:
 
         # far below kve's range: small-argument form takes over
         val = log_bessel_k(3.0, 1e-120)
-        expected = math.log(fr.gamma(3.0) / 2.0) - 3.0 * math.log(5e-121)
+        expected = math.log(math.gamma(3.0) / 2.0) - 3.0 * math.log(5e-121)
         assert val == pytest.approx(expected, rel=1e-12)
 
 
@@ -241,7 +228,7 @@ class TestWhittakerW:
         ref, _ = quad(lambda t: math.exp(-z * t) * t ** (a - 1.0)
                       * (1.0 + t) ** (b - a - 1.0), 0, np.inf,
                       epsabs=1e-13, limit=300)
-        ref /= fr.gamma(a)
+        ref /= math.gamma(a)
         expected = math.exp(-0.5 * z) * z ** (0.5 + 0.5) * ref
         assert fr.whittaker_w(-0.5, 0.5, z) == pytest.approx(expected,
                                                              rel=1e-9)
@@ -284,21 +271,6 @@ class TestWhittakerW:
             float(mpmath.whitw(0.5 * b - a, 0.5 * (b - 1.0), z)), rel=1e-10)
 
 
-class TestErf:
-    def test_zero_and_odd(self):
-        assert fr.erf(0.0) == 0.0
-        for x in (0.2, 1.1, 3.0):
-            assert fr.erf(-x) == -fr.erf(x)
-
-    def test_reference_point(self):
-        assert fr.erf(0.12533) == pytest.approx(0.140682781805484357,
-                                                rel=1e-12)
-
-    def test_bounded(self):
-        for x in np.linspace(-6, 6, 25):
-            assert abs(fr.erf(x)) <= 1.0
-
-
 class TestGaussLaguerre:
     def test_single_node(self):
         [(t, w)] = fr.gauss_laguerre(1)
@@ -334,15 +306,3 @@ class TestGaussLaguerre:
     def test_invalid_order(self, L):
         with pytest.raises(ValueError):
             fr.gauss_laguerre(L)
-
-
-class TestAccuracy:
-    def test_defaults_valid(self):
-        acc = fr.Accuracy()
-        assert acc.rel_tol == 1e-10 and acc.max_terms == 500
-
-    @pytest.mark.parametrize("kw", [dict(rel_tol=0.0), dict(rel_tol=1e-2),
-                                    dict(max_terms=10)])
-    def test_invalid_rejected(self, kw):
-        with pytest.raises(ValueError):
-            fr.Accuracy(**kw)
