@@ -21,6 +21,7 @@ the quadrature evaluator over its closed-form CDF.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -36,27 +37,18 @@ _BER_FLOOR = 1e-300
 _LN2 = math.log(2.0)
 
 
+@dataclass(frozen=True, slots=True)
 class Modulation:
     """ABER kernel parameters; the conditional error probability is
     Gamma(P, Q*gamma) / (2 Gamma(P))."""
 
-    __slots__ = ("p", "q")
+    p: float
+    q: float
 
-    def __init__(self, p: float, q: float) -> None:
-        if p <= 0.0 or q <= 0.0:
-            raise ValueError(f"modulation parameters must be positive: {p}, {q}")
-        self.p = float(p)
-        self.q = float(q)
-
-    def __repr__(self) -> str:
-        return f"Modulation(P={self.p}, Q={self.q})"
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, Modulation)
-                and (self.p, self.q) == (other.p, other.q))
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q))
+    def __post_init__(self) -> None:
+        if self.p <= 0.0 or self.q <= 0.0:
+            raise ValueError(
+                f"modulation parameters must be positive: {self.p}, {self.q}")
 
 
 BPSK = Modulation(0.5, 1.0)

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -45,10 +46,9 @@ from .mgfit import (GammaGammaParams, MixtureGamma, fit_gamma_gamma,
                     gamma_gamma_pdf, mg_pdf)
 from .relay import CsiAf, Df, FixedAf, LinkPlan, RelayLink, cdf_numeric
 
-log = logging.getLogger("fso_relay")
-
 _PROTOCOLS = ("csi0", "csi1", "fixed", "df")
 _ABER_QUAD_TOL = 1e-6
+_NUMERICAL = (ConvergenceError, OverflowError, FloatingPointError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,8 +83,8 @@ class Scenario:
     modulation: Modulation
     gamma_th_db: float
     grid_db: tuple[float, ...]
-    mc: dict | None = None
-    fixed_gain: float | None = None
+    mc: dict[str, int]
+    fixed: FixedAf
 
     @property
     def gamma_th(self) -> float:
@@ -102,6 +102,35 @@ def _require(doc: dict, what: str, *keys: str) -> None:
     for key in keys:
         if key not in doc:
             raise ScenarioError(f"{what} needs {key!r}")
+
+
+def _protocols(names) -> tuple[str, ...]:
+    """The scenario's protocol list or --protocol, checked."""
+    names = tuple(names)
+    if not names:
+        raise ScenarioError("at least one protocol required")
+    for p in names:
+        if p not in _PROTOCOLS:
+            raise ScenarioError(f"unknown protocol {p!r}; choose from {_PROTOCOLS}")
+    return names
+
+
+def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
+    """start, start + step, ... up to stop: the sweep grid and --x-db ranges."""
+    if not (step > 0.0 and stop >= start and math.isfinite(stop - start)):
+        raise ScenarioError(f"invalid range {start}..{stop} step {step}")
+    n = int(round((stop - start) / step)) + 1
+    return tuple(start + i * step for i in range(n))
+
+
+def _parse_x_db(text: str) -> tuple[float, ...]:
+    """Either comma-separated values or start:stop:step, all in dB."""
+    if ":" not in text:
+        return tuple(float(t) for t in text.split(","))
+    parts = [float(t) for t in text.split(":")]
+    if len(parts) != 3:
+        raise ScenarioError(f"bad range {text!r}, want start:stop:step")
+    return _grid(*parts)
 
 
 def _parse_hop_spec(doc: dict) -> HopSpec:
@@ -127,27 +156,14 @@ def _parse_hop_spec(doc: dict) -> HopSpec:
                    gamma_bar_offset_db=float(doc.get("gamma_bar_offset_db", 0.0)))
 
 
-def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
-    doc = _object(doc, "scenario")
+def _parse_scenario(doc: dict) -> Scenario:
     if doc.get("schema") != 1:
         raise ScenarioError(f"unsupported schema {doc.get('schema')!r}")
     hops_doc = doc.get("hops")
     if not isinstance(hops_doc, list) or len(hops_doc) not in (1, 2):
         raise ScenarioError("hops must be a list of one or two specs")
     specs = [_parse_hop_spec(_object(h, "hop")) for h in hops_doc]
-    if len(specs) == 1:
-        specs = [specs[0], specs[0]]
-    protocols = tuple(doc.get("protocols", []))
-    if not protocols:
-        raise ScenarioError("at least one protocol required")
-    for p in protocols:
-        if p not in _PROTOCOLS:
-            raise ScenarioError(f"unknown protocol {p!r}; choose from {_PROTOCOLS}")
+    protocols = _protocols(doc.get("protocols", []))
     mod_doc = _object(doc.get("modulation", {"P": 0.5, "Q": 1.0}), "modulation")
     _require(mod_doc, "modulation", "P", "Q")
     modulation = Modulation(float(mod_doc["P"]), float(mod_doc["Q"]))
@@ -155,34 +171,62 @@ def load_scenario(path: str) -> Scenario:
     if not sweep:
         raise ScenarioError("sweep block required")
     _require(_object(sweep, "sweep"), "sweep", "start_db", "stop_db")
-    start, stop = float(sweep["start_db"]), float(sweep["stop_db"])
-    step = float(sweep.get("step_db", 5.0))
-    if step <= 0.0 or stop < start:
-        raise ScenarioError(f"invalid sweep range {start}..{stop} step {step}")
-    n = int(round((stop - start) / step)) + 1
-    grid = tuple(start + i * step for i in range(n))
+    grid = _grid(float(sweep["start_db"]), float(sweep["stop_db"]),
+                 float(sweep.get("step_db", 5.0)))
+    mc = _object(doc.get("mc") or {}, "mc")
+    mc = {key: int(mc[key]) for key in ("samples", "seed", "streams") if key in mc}
     gain = doc.get("fixed_gain")
-    return Scenario(hops=(specs[0], specs[1]), protocols=protocols,
+    return Scenario(hops=(specs[0], specs[-1]), protocols=protocols,
                     modulation=modulation,
                     gamma_th_db=float(doc.get("gamma_th_db", 0.0)),
-                    grid_db=grid, mc=doc.get("mc"),
-                    fixed_gain=None if gain is None else float(gain))
+                    grid_db=grid, mc=mc,
+                    fixed=FixedAf(None if gain is None else float(gain)))
 
 
-def _protocol_object(name: str, scenario: Scenario):
-    if name == "csi0":
-        return CsiAf(q=0)
-    if name == "csi1":
-        return CsiAf(q=1)
-    if name == "fixed":
-        return FixedAf(gain=scenario.fixed_gain)
-    return Df()
+def load_scenario(path: str) -> Scenario:
+    """Read and check the whole scenario: a malformed field raises
+    ScenarioError, or ValueError from the channel and protocol types."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return _parse_scenario(_object(json.load(fh), "scenario"))
+    except (OSError, json.JSONDecodeError, TypeError) as exc:
+        raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
+
+
+def _scenario(args) -> Scenario:
+    """The --config scenario with --protocol and --gamma-th-db applied."""
+    scenario = load_scenario(args.config)
+    if args.protocol:
+        scenario.protocols = _protocols(
+            p.strip() for p in args.protocol.split(",") if p.strip())
+    if getattr(args, "gamma_th_db", None) is not None:
+        scenario.gamma_th_db = args.gamma_th_db
+    return scenario
 
 
 def make_link(scenario: Scenario, proto: str, gamma_bar_db: float) -> RelayLink:
+    protocol = {"csi0": CsiAf(q=0), "csi1": CsiAf(q=1), "fixed": scenario.fixed,
+                "df": Df()}[proto]
     return RelayLink(hop1=scenario.hops[0].at(gamma_bar_db),
-                     hop2=scenario.hops[1].at(gamma_bar_db),
-                     protocol=_protocol_object(proto, scenario))
+                     hop2=scenario.hops[1].at(gamma_bar_db), protocol=protocol)
+
+
+def _point_rows(scenario: Scenario, gamma_bar_db: float, protocols, values):
+    """Rows of one SNR point: one LinkPlan per protocol, that protocol's
+    rows from values(gamma_bar_db, proto, plan), each ended by method and
+    bound_regime.  A numerical failure is re-raised naming the point and
+    the protocol."""
+    rows = []
+    for proto in protocols:
+        try:
+            plan = LinkPlan(make_link(scenario, proto, gamma_bar_db))
+            rows += [[*row, plan.mode, plan.mode == "bound"]
+                     for row in values(gamma_bar_db, proto, plan)]
+        except _NUMERICAL as exc:
+            raise ConvergenceError(
+                f"at gamma_bar_db={gamma_bar_db}, protocol={proto}: {exc}"
+            ) from exc
+    return rows
 
 
 def _fmt(v) -> str:
@@ -193,10 +237,7 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_rows(header: list[str], rows: list[list], out_path: str | None) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def _write(text: str, out_path: str | None) -> None:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -204,31 +245,9 @@ def _write_rows(header: list[str], rows: list[list], out_path: str | None) -> No
         sys.stdout.write(text)
 
 
-def _parse_x_db(text: str) -> list[float]:
-    """Either comma-separated values or start:stop:step, all in dB."""
-    if ":" in text:
-        parts = [float(t) for t in text.split(":")]
-        if len(parts) != 3 or parts[2] <= 0.0 or parts[1] < parts[0]:
-            raise ScenarioError(f"bad range {text!r}, want start:stop:step")
-        n = int(round((parts[1] - parts[0]) / parts[2])) + 1
-        return [parts[0] + i * parts[2] for i in range(n)]
-    return [float(t) for t in text.split(",")]
-
-
-def _sweep_point(scenario: Scenario, gamma_bar_db: float):
-    rows = []
-    for proto in scenario.protocols:
-        try:
-            plan = LinkPlan(make_link(scenario, proto, gamma_bar_db))
-            p_out = plan.outage(scenario.gamma_th)
-            p_err = plan_aber(plan, scenario.modulation)
-        except (ConvergenceError, OverflowError, FloatingPointError) as exc:
-            raise ConvergenceError(
-                f"at gamma_bar_db={gamma_bar_db}, protocol={proto}: {exc}"
-            ) from exc
-        rows.append([gamma_bar_db, proto, p_out, p_err, plan.mode,
-                     plan.mode == "bound"])
-    return rows
+def _write_rows(header: list[str], rows: list[list], out_path: str | None) -> None:
+    lines = [header, *([_fmt(v) for v in row] for row in rows)]
+    _write("".join(",".join(line) + "\n" for line in lines), out_path)
 
 
 def cmd_fit(args) -> int:
@@ -237,12 +256,7 @@ def cmd_fit(args) -> int:
     grid = np.geomspace(0.05, 5.0, 200)
     rel_err = np.max(np.abs(mg_pdf(mix, grid) - gamma_gamma_pdf(gg, grid))
                      / gamma_gamma_pdf(gg, grid))
-    text = json.dumps(mix.to_json_dict()) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(mix.to_json_dict()) + "\n", args.out)
     print(f"max_rel_pdf_error={rel_err:.6e} on I in [0.05, 5] ({len(grid)} points)",
           file=sys.stderr)
     return EXIT_OK
@@ -250,8 +264,7 @@ def cmd_fit(args) -> int:
 
 def cmd_pdf(args) -> int:
     scenario = load_scenario(args.config)
-    spec = scenario.hops[args.hop - 1]
-    hop = spec.at(args.gamma_bar_db)
+    hop = scenario.hops[args.hop - 1].at(args.gamma_bar_db)
     rows = [[x_db, snr_pdf(hop, 10.0 ** (x_db / 10.0))]
             for x_db in _parse_x_db(args.x_db)]
     _write_rows(["x_db", "pdf"], rows, args.out)
@@ -259,187 +272,126 @@ def cmd_pdf(args) -> int:
 
 
 def cmd_cdf(args) -> int:
-    scenario = load_scenario(args.config)
-    protocols = _select_protocols(scenario, args.protocol)
-    rows = []
-    for proto in protocols:
-        plan = LinkPlan(make_link(scenario, proto, args.gamma_bar_db))
-        for x_db in _parse_x_db(args.x_db):
-            rows.append([proto, x_db, plan.cdf(10.0 ** (x_db / 10.0)),
-                         plan.mode, plan.mode == "bound"])
+    scenario = _scenario(args)
+    xs = _parse_x_db(args.x_db)
+    rows = _point_rows(
+        scenario, args.gamma_bar_db, scenario.protocols,
+        lambda g, proto, plan: [[proto, x_db, plan.cdf(10.0 ** (x_db / 10.0))]
+                                for x_db in xs])
     _write_rows(["protocol", "x_db", "cdf", "method", "bound_regime"], rows,
                 args.out)
     return EXIT_OK
 
 
-def cmd_outage(args) -> int:
-    scenario = load_scenario(args.config)
-    if args.gamma_th_db is not None:
-        scenario.gamma_th_db = args.gamma_th_db
-    protocols = _select_protocols(scenario, args.protocol)
-    rows = []
-    for proto in protocols:
-        plan = LinkPlan(make_link(scenario, proto, args.gamma_bar_db))
-        rows.append([args.gamma_bar_db, proto, plan.outage(scenario.gamma_th),
-                     plan.mode, plan.mode == "bound"])
-    _write_rows(["gamma_bar_db", "protocol", "outage", "method", "bound_regime"],
-                rows, args.out)
-    return EXIT_OK
-
-
-def cmd_aber(args) -> int:
-    scenario = load_scenario(args.config)
-    protocols = _select_protocols(scenario, args.protocol)
-    rows = []
-    for proto in protocols:
-        plan = LinkPlan(make_link(scenario, proto, args.gamma_bar_db))
-        rows.append([args.gamma_bar_db, proto,
-                     plan_aber(plan, scenario.modulation), plan.mode,
-                     plan.mode == "bound"])
-    _write_rows(["gamma_bar_db", "protocol", "aber", "method", "bound_regime"],
-                rows, args.out)
-    return EXIT_OK
-
-
 def cmd_sweep(args) -> int:
-    scenario = load_scenario(args.config)
-    scenario.protocols = _select_protocols(scenario, args.protocol)
-    with ThreadPoolExecutor(max_workers=min(8, len(scenario.grid_db))) as pool:
-        per_point = list(pool.map(lambda g: _sweep_point(scenario, g),
-                                  scenario.grid_db))
-    rows = [row for point in per_point for row in point]
-    _write_rows(["gamma_bar_db", "protocol", "outage", "aber", "method",
-                 "bound_regime"], rows, args.out)
+    """outage and aber at --gamma-bar-db, sweep both over the grid."""
+    scenario = _scenario(args)
+    columns = ("outage", "aber") if args.command == "sweep" else (args.command,)
+    value = {"outage": lambda plan: plan.outage(scenario.gamma_th),
+             "aber": lambda plan: plan_aber(plan, scenario.modulation)}
+
+    def point(gamma_bar_db: float) -> list[list]:
+        return _point_rows(
+            scenario, gamma_bar_db, scenario.protocols,
+            lambda g, proto, plan: [[g, proto, *(value[c](plan) for c in columns)]])
+
+    if args.command == "sweep":
+        with ThreadPoolExecutor(max_workers=min(8, len(scenario.grid_db))) as pool:
+            per_point = list(pool.map(point, scenario.grid_db))
+    else:
+        per_point = [point(args.gamma_bar_db)]
+    _write_rows(["gamma_bar_db", "protocol", *columns, "method", "bound_regime"],
+                [row for rows in per_point for row in rows], args.out)
     return EXIT_OK
 
 
-def _verify_point(scenario: Scenario, proto: str, gamma_bar_db: float,
-                  mc_cfg: McConfig):
-    link = make_link(scenario, proto, gamma_bar_db)
-    plan = LinkPlan(link)
-    bound = plan.mode == "bound"
-    gth = scenario.gamma_th
-    mod = scenario.modulation
-
-    out_closed = plan.outage(gth)
-    out_quad = cdf_numeric(link, gth)
-    out_mc = estimate_outage(link, gth, mc_cfg)
-
-    aber_closed = plan_aber(plan, mod)
-    aber_quad = aber_quadrature(link, mod, basis="numeric")
-    aber_mc = estimate_aber(link, mod, mc_cfg)
-
-    rows = []
-    for metric, closed, quadv, est in (("outage", out_closed, out_quad, out_mc),
-                                       ("aber", aber_closed, aber_quad, aber_mc)):
-        if bound:
-            passed = est.value <= closed
-        else:
-            passed = (abs(closed - quadv) <= _ABER_QUAD_TOL
-                      and est.ci95[0] <= closed <= est.ci95[1])
-        rows.append([gamma_bar_db, proto, metric, closed, quadv, est.value,
-                     est.std_err, est.ci95[0], est.ci95[1], plan.mode, bound,
-                     passed])
-    return rows
+def _passed(row: list) -> bool:
+    """A verify row passes when the analytic value lies within 1e-6 of
+    quadrature and inside the Monte Carlo 95% interval; in the bound
+    regime when the Monte Carlo value does not exceed it."""
+    _, _, _, closed, quadv, mc, _, low, high, _, bound = row
+    if bound:
+        return mc <= closed
+    return abs(closed - quadv) <= _ABER_QUAD_TOL and low <= closed <= high
 
 
 def cmd_verify(args) -> int:
-    scenario = load_scenario(args.config)
-    scenario.protocols = _select_protocols(scenario, args.protocol)
-    mc_doc = dict(scenario.mc or {})
-    if args.samples is not None:
-        mc_doc["samples"] = args.samples
-    if args.seed is not None:
-        mc_doc["seed"] = args.seed
-    if "samples" not in mc_doc or "seed" not in mc_doc:
+    scenario = _scenario(args)
+    flags = {"samples": args.samples, "seed": args.seed}
+    mc = {**scenario.mc, **{k: v for k, v in flags.items() if v is not None}}
+    if "samples" not in mc or "seed" not in mc:
         raise ScenarioError("verify needs an mc block or --samples/--seed")
-    mc_cfg = McConfig(samples=int(mc_doc["samples"]), seed=int(mc_doc["seed"]),
-                      streams=int(mc_doc.get("streams", 1)))
+    mc_cfg = McConfig(**mc)
+    gth, mod = scenario.gamma_th, scenario.modulation
+
+    def checks(gamma_bar_db: float, proto: str, plan: LinkPlan) -> list[list]:
+        link = plan.link
+        outage = (plan.outage(gth), cdf_numeric(link, gth),
+                  estimate_outage(link, gth, mc_cfg))
+        aber = (plan_aber(plan, mod), aber_quadrature(link, mod, basis="numeric"),
+                estimate_aber(link, mod, mc_cfg))
+        return [[gamma_bar_db, proto, metric, closed, quadv, est.value,
+                 est.std_err, *est.ci95]
+                for metric, (closed, quadv, est) in (("outage", outage),
+                                                     ("aber", aber))]
+
     tasks = [(g, p) for g in scenario.grid_db for p in scenario.protocols]
     with ThreadPoolExecutor(max_workers=4) as pool:
         per_task = list(pool.map(
-            lambda gp: _verify_point(scenario, gp[1], gp[0], mc_cfg), tasks))
-    rows = [row for task in per_task for row in task]
+            lambda gp: _point_rows(scenario, gp[0], gp[1:], checks), tasks))
+    rows = [row + [_passed(row)] for task in per_task for row in task]
     _write_rows(["gamma_bar_db", "protocol", "metric", "analytic",
                  "quadrature", "mc", "mc_std_err", "mc_ci_low", "mc_ci_high",
                  "method", "bound_regime", "passed"], rows, args.out)
-    failures = [r for r in rows if not r[-1]]
-    print(f"verify: {len(rows) - len(failures)}/{len(rows)} checks passed "
+    failures = sum(not row[-1] for row in rows)
+    print(f"verify: {len(rows) - failures}/{len(rows)} checks passed "
           f"(samples={mc_cfg.samples}, seed={mc_cfg.seed})", file=sys.stderr)
     return EXIT_VERIFY if failures else EXIT_OK
 
 
-def _select_protocols(scenario: Scenario, override: str | None) -> tuple[str, ...]:
-    if not override:
-        return scenario.protocols
-    names = tuple(p.strip() for p in override.split(",") if p.strip())
-    if not names:
-        raise ScenarioError("empty protocol list")
-    for p in names:
-        if p not in _PROTOCOLS:
-            raise ScenarioError(f"unknown protocol {p!r}")
-    return names
-
-
 def build_parser() -> argparse.ArgumentParser:
+    def shared(flag: str, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(flag, **kwargs)
+        return parent
+
+    config = shared("--config", required=True)
+    protocol = shared("--protocol", help="comma list, default from config")
+    gamma_bar = shared("--gamma-bar-db", type=float, required=True)
+    out = shared("--out")
     parser = argparse.ArgumentParser(
         prog="fso-relay",
         description="Dual-hop FSO relay outage/ABER analysis")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", help="fit a Gamma-Gamma channel as a Gamma mixture")
-    p_fit.add_argument("--alpha", type=float, required=True)
-    p_fit.add_argument("--beta", type=float, required=True)
-    p_fit.add_argument("--L", type=int, default=10)
-    p_fit.add_argument("--out")
-    p_fit.set_defaults(fn=cmd_fit)
+    def command(name, fn, summary, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=[*parents, out])
+        p.set_defaults(fn=fn)
+        return p
 
-    p_pdf = sub.add_parser("pdf", help="per-hop SNR pdf at given points")
-    p_pdf.add_argument("--config", required=True)
-    p_pdf.add_argument("--hop", type=int, choices=(1, 2), default=1)
-    p_pdf.add_argument("--gamma-bar-db", type=float, required=True)
-    p_pdf.add_argument("--x-db", required=True,
-                       help="comma list or start:stop:step (dB)")
-    p_pdf.add_argument("--out")
-    p_pdf.set_defaults(fn=cmd_pdf)
-
-    p_cdf = sub.add_parser("cdf", help="end-to-end SNR CDF at given points")
-    p_cdf.add_argument("--config", required=True)
-    p_cdf.add_argument("--protocol", help="comma list, default from config")
-    p_cdf.add_argument("--gamma-bar-db", type=float, required=True)
-    p_cdf.add_argument("--x-db", required=True)
-    p_cdf.add_argument("--out")
-    p_cdf.set_defaults(fn=cmd_cdf)
-
-    p_out = sub.add_parser("outage", help="outage probability at one SNR point")
-    p_out.add_argument("--config", required=True)
-    p_out.add_argument("--protocol")
-    p_out.add_argument("--gamma-bar-db", type=float, required=True)
-    p_out.add_argument("--gamma-th-db", type=float, default=None)
-    p_out.add_argument("--out")
-    p_out.set_defaults(fn=cmd_outage)
-
-    p_aber = sub.add_parser("aber", help="average BER at one SNR point")
-    p_aber.add_argument("--config", required=True)
-    p_aber.add_argument("--protocol")
-    p_aber.add_argument("--gamma-bar-db", type=float, required=True)
-    p_aber.add_argument("--out")
-    p_aber.set_defaults(fn=cmd_aber)
-
-    p_sweep = sub.add_parser("sweep", help="outage+ABER over the SNR grid")
-    p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--protocol")
-    p_sweep.add_argument("--out")
-    p_sweep.set_defaults(fn=cmd_sweep)
-
-    p_ver = sub.add_parser("verify",
-                           help="cross-check closed forms vs quadrature and MC")
-    p_ver.add_argument("--config", required=True)
-    p_ver.add_argument("--protocol")
-    p_ver.add_argument("--samples", type=int, default=None)
-    p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--out")
-    p_ver.set_defaults(fn=cmd_verify)
+    p = command("fit", cmd_fit, "fit a Gamma-Gamma channel as a Gamma mixture")
+    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--L", type=int, default=10)
+    p = command("pdf", cmd_pdf, "per-hop SNR pdf at given points", config,
+                gamma_bar)
+    p.add_argument("--hop", type=int, choices=(1, 2), default=1)
+    p.add_argument("--x-db", required=True,
+                   help="comma list or start:stop:step (dB)")
+    p = command("cdf", cmd_cdf, "end-to-end SNR CDF at given points", config,
+                protocol, gamma_bar)
+    p.add_argument("--x-db", required=True)
+    p = command("outage", cmd_sweep, "outage probability at one SNR point",
+                config, protocol, gamma_bar)
+    p.add_argument("--gamma-th-db", type=float, default=None)
+    command("aber", cmd_sweep, "average BER at one SNR point", config,
+            protocol, gamma_bar)
+    command("sweep", cmd_sweep, "outage+ABER over the SNR grid", config,
+            protocol)
+    p = command("verify", cmd_verify,
+                "cross-check closed forms vs quadrature and MC", config, protocol)
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     return parser
 
 
@@ -447,14 +399,13 @@ def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("FSO_RELAY_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ConvergenceError, OverflowError, FloatingPointError) as exc:
+    except _NUMERICAL as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

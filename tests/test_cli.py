@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import fso_relay as fr
 from fso_relay import cli
 
 UNIT_SCENARIO = {
@@ -153,6 +154,49 @@ class TestPointCommands:
             0.243331153476390, rel=1e-8)
 
 
+class TestCsvHeaders:
+    @pytest.mark.parametrize("argv,header", [
+        (["cdf", "--gamma-bar-db", "0", "--x-db", "0"],
+         "protocol,x_db,cdf,method,bound_regime"),
+        (["outage", "--gamma-bar-db", "0"],
+         "gamma_bar_db,protocol,outage,method,bound_regime"),
+        (["aber", "--gamma-bar-db", "0"],
+         "gamma_bar_db,protocol,aber,method,bound_regime"),
+        (["sweep"], "gamma_bar_db,protocol,outage,aber,method,bound_regime"),
+        (["verify", "--samples", "10000"],
+         "gamma_bar_db,protocol,metric,analytic,quadrature,mc,mc_std_err,"
+         "mc_ci_low,mc_ci_high,method,bound_regime,passed"),
+    ], ids=["cdf", "outage", "aber", "sweep", "verify"])
+    def test_header_and_column_order(self, unit_scenario, capsys, argv, header):
+        assert cli.main([argv[0], "--config", unit_scenario, "--protocol", "df",
+                         *argv[1:]]) == 0
+        out, _ = capsys.readouterr()
+        lines = out.splitlines()
+        assert lines[0] == header
+        assert len(lines) > 1
+        assert all(len(line.split(",")) == len(header.split(","))
+                   for line in lines[1:])
+
+
+class TestFailureContext:
+    """A numerical failure in any subcommand names its point and protocol."""
+
+    @pytest.mark.parametrize("command,target", [
+        (["aber", "--gamma-bar-db", "0"], "plan_aber"),
+        (["verify", "--samples", "10000"], "cdf_numeric"),
+    ], ids=["aber", "verify"])
+    def test_point_and_protocol_named(self, unit_scenario, monkeypatch, capsys,
+                                      command, target):
+        def boom(*args, **kwargs):
+            raise fr.ConvergenceError("boom")
+
+        monkeypatch.setattr(cli, target, boom)
+        assert cli.main([command[0], "--config", unit_scenario,
+                         "--protocol", "csi0", *command[1:]]) == 3
+        _, err = capsys.readouterr()
+        assert "at gamma_bar_db=0.0, protocol=csi0: boom" in err
+
+
 class TestScenarioValidation:
     @pytest.mark.parametrize("patch", [
         {"schema": 2},
@@ -164,10 +208,27 @@ class TestScenarioValidation:
         {"sweep": {"stop_db": 10.0, "step_db": 5.0}},
         {"hops": [{"mg": {}, "xi_sq": 1.0, "A0": 1.0}]},
         {"hops": [5]},
+        {"mc": 5},
+        {"mc": {"samples": None, "seed": 1}},
+        {"protocols": 5},
+        {"gamma_th_db": None},
+        {"hops": [{"mg": {"terms": 5}, "xi_sq": 1.0, "A0": 1.0}]},
+        {"hops": [{"mg": {"terms": [[1.0, 2.0, 1.0]]}, "xi_sq": None,
+                   "A0": 1.0}]},
+        {"sweep": {"start_db": 0.0, "stop_db": 0.0, "step_db": None}},
     ])
     def test_bad_configs_exit_2(self, tmp_path, patch, capsys):
         path = write_scenario(tmp_path, **patch)
         assert cli.main(["sweep", "--config", path]) == 2
+        _, err = capsys.readouterr()
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("mc", [5, {"samples": None, "seed": 1}])
+    def test_bad_mc_block_exit_2_in_verify(self, tmp_path, mc, capsys):
+        path = write_scenario(tmp_path, mc=mc)
+        assert cli.main(["verify", "--config", path]) == 2
+        _, err = capsys.readouterr()
+        assert err.startswith("error: ")
 
     def test_top_level_list_exit_2(self, tmp_path, capsys):
         path = tmp_path / "list.json"
