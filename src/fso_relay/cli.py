@@ -48,6 +48,7 @@ from .relay import CsiAf, Df, FixedAf, LinkPlan, RelayLink, cdf_numeric
 
 _PROTOCOLS = ("csi0", "csi1", "fixed", "df")
 _ABER_QUAD_TOL = 1e-6
+_MAX_GRID_POINTS = 10_000
 _NUMERICAL = (ConvergenceError, OverflowError, FloatingPointError)
 
 EXIT_OK = 0
@@ -119,7 +120,11 @@ def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     """start, start + step, ... up to stop: the sweep grid and --x-db ranges."""
     if not (step > 0.0 and stop >= start and math.isfinite(stop - start)):
         raise ScenarioError(f"invalid range {start}..{stop} step {step}")
-    n = int(round((stop - start) / step)) + 1
+    steps = (stop - start) / step   # checked before any point is built
+    if steps >= _MAX_GRID_POINTS - 0.5:
+        raise ScenarioError(f"range {start}..{stop} step {step} has more "
+                            f"than {_MAX_GRID_POINTS} points")
+    n = int(round(steps)) + 1
     return tuple(start + i * step for i in range(n))
 
 
@@ -286,22 +291,18 @@ def cmd_cdf(args) -> int:
 def cmd_sweep(args) -> int:
     """outage and aber at --gamma-bar-db, sweep both over the grid."""
     scenario = _scenario(args)
-    columns = ("outage", "aber") if args.command == "sweep" else (args.command,)
+    sweep = args.command == "sweep"
+    columns = ("outage", "aber") if sweep else (args.command,)
     value = {"outage": lambda plan: plan.outage(scenario.gamma_th),
              "aber": lambda plan: plan_aber(plan, scenario.modulation)}
 
-    def point(gamma_bar_db: float) -> list[list]:
-        return _point_rows(
-            scenario, gamma_bar_db, scenario.protocols,
-            lambda g, proto, plan: [[g, proto, *(value[c](plan) for c in columns)]])
+    def point(g: float, proto: str, plan: LinkPlan) -> list[list]:
+        return [[g, proto, *(value[c](plan) for c in columns)]]
 
-    if args.command == "sweep":
-        with ThreadPoolExecutor(max_workers=min(8, len(scenario.grid_db))) as pool:
-            per_point = list(pool.map(point, scenario.grid_db))
-    else:
-        per_point = [point(args.gamma_bar_db)]
+    rows = [row for g in (scenario.grid_db if sweep else (args.gamma_bar_db,))
+            for row in _point_rows(scenario, g, scenario.protocols, point)]
     _write_rows(["gamma_bar_db", "protocol", *columns, "method", "bound_regime"],
-                [row for rows in per_point for row in rows], args.out)
+                rows, args.out)
     return EXIT_OK
 
 
@@ -336,6 +337,8 @@ def cmd_verify(args) -> int:
                                                      ("aber", aber))]
 
     tasks = [(g, p) for g in scenario.grid_db for p in scenario.protocols]
+    # cells overlap: their Monte Carlo blocks run in numpy outside the GIL
+    # while another cell's quadrature oracle runs in Python
     with ThreadPoolExecutor(max_workers=4) as pool:
         per_task = list(pool.map(
             lambda gp: _point_rows(scenario, gp[0], gp[1:], checks), tasks))

@@ -239,12 +239,17 @@ def snr_pdf_reduced(hop: HopChannel, x: float) -> float:
 
 
 def snr_pdf_bound(hop: HopChannel, x: float) -> float:
-    """Upper bound of the SNR PDF (tight when b_i - xi^2 <= 0 and the
-    kernel argument is large, i.e. at low-to-moderate SNR)."""
+    """Upper bound of the SNR PDF from Gamma(s, y) <= y^{s-1} e^{-y}, which
+    holds for s = b_i - xi^2 <= 1 (exact at s = 1, tight at large y, i.e.
+    at low-to-moderate SNR); IntegerConditionError for any b_i - xi^2 > 1,
+    where the same formula falls below the PDF."""
     if x <= 0.0:
         raise ValueError(f"snr_pdf_bound needs x > 0, got {x}")
     scale = hop.kernel_scale
     xi2 = hop.pointing.xi_sq
+    if any(b - xi2 > 1.0 + _INT_TOL for _, b, _ in hop.mg.terms):
+        raise IntegerConditionError(
+            "snr_pdf_bound is an upper bound only when b_i - xi^2 <= 1")
     return math.fsum(
         math.exp(math.log(a) - math.log(c) + math.log(xi2)
                  - (b - 1.0) * math.log(scale) + (b - 2.0) * math.log(x)

@@ -181,6 +181,19 @@ def _hyperu_quadrature(a: float, b: float, z: float) -> float:
     return math.exp(math.log(val) - a * math.log(z) - math.lgamma(a))
 
 
+def _hyperu(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Confluent U(a, b, z) elementwise: scipy's hyperu, and its integral
+    representation where that is non-finite (one warning per call)."""
+    u = np.array(sp.hyperu(a, b, z), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(u))
+    for i in bad:
+        u.flat[i] = _hyperu_quadrature(a.flat[i], b.flat[i], z.flat[i])
+    if bad.size:
+        log.warning("hyperu non-finite at %d of %d arguments; used its "
+                    "integral representation", bad.size, u.size)
+    return u
+
+
 def whittaker_w(kappa, mu, z):
     """Whittaker W_{kappa,mu}(z) for z > 0, elementwise on arrays.
 
@@ -194,14 +207,7 @@ def whittaker_w(kappa, mu, z):
     if np.any(z <= 0.0):
         raise ValueError("whittaker_w needs z > 0")
     mu = np.abs(mu)
-    a = mu - kappa + 0.5
-    b = 1.0 + 2.0 * mu
-    u = np.array(sp.hyperu(a, b, z), dtype=float)
-    for i in np.flatnonzero(~np.isfinite(u)):
-        ai, bi, zi = a.flat[i], b.flat[i], z.flat[i]
-        log.warning("hyperu(%g, %g, %g) non-finite; using integral fallback",
-                    ai, bi, zi)
-        u.flat[i] = _hyperu_quadrature(ai, bi, zi)
+    u = _hyperu(mu - kappa + 0.5, 1.0 + 2.0 * mu, z)
     out = np.exp(-0.5 * z + (mu + 0.5) * np.log(z)) * u
     return out if out.ndim else float(out)
 

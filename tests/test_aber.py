@@ -1,6 +1,7 @@
 """Average BER: kernel quadrature and the three closed forms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -101,6 +102,18 @@ class TestFixedAber:
         link = fr.RelayLink(h, h, fr.FixedAf())
         assert abs(fr.aber_fixed(link, fr.BPSK)
                    - fr.aber_quadrature(link, fr.BPSK)) < 1e-6
+
+    @pytest.mark.parametrize("alpha,beta", [(4, 2), (8, 6)])
+    def test_matches_quadrature_at_low_snr(self, alpha, beta):
+        # at -30 dB most Whittaker arguments exceed 1,500, where
+        # e^{-w/2} W underflows unless the term is formed in logs
+        h = make_hop(alpha, beta, 1, -30.0)
+        link = fr.RelayLink(h, h, fr.FixedAf())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            closed = fr.aber_fixed(link, fr.BPSK)
+        assert closed == pytest.approx(fr.aber_quadrature(link, fr.BPSK),
+                                       rel=1e-10)
 
     def test_matches_monte_carlo(self):
         for al, be, xi, db in [(4, 2, 1, 10.0), (5, 3, 2, 5.0)]:

@@ -1,6 +1,11 @@
 """Command-line front-end: scenario parsing, CSV contracts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -107,6 +112,30 @@ class TestSweep:
         cli.main(["sweep", "--config", unit_scenario, "--out", str(out1)])
         cli.main(["sweep", "--config", unit_scenario, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_stderr_reproducible_in_grid_order(self, tmp_path):
+        # (8,6,1) fixed gain: scipy's hyperu is non-finite at some arguments
+        # of the closed ABER at both points; the points run in grid order
+        # and each ABER logs one line for all of its fallbacks
+        path = write_scenario(
+            tmp_path,
+            hops=[{"alpha": 8, "beta": 6, "L": 10, "xi_sq": 1,
+                   "r_over_wz": 0.1}],
+            protocols=["fixed"],
+            sweep={"start_db": 20.0, "stop_db": 30.0, "step_db": 10.0})
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        errs = [subprocess.run(
+                    [sys.executable, "-m", "fso_relay.cli", "sweep",
+                     "--config", path],
+                    capture_output=True, env=env, check=True).stderr
+                for _ in range(2)]
+        assert errs[0] == errs[1]
+        lines = errs[0].decode().splitlines()
+        assert len(lines) == 2
+        assert all(line.startswith(
+            "WARNING fso_relay.specfun: hyperu non-finite at ")
+            for line in lines)
 
     def test_bound_regime_labeled(self, tmp_path, capsys):
         path = write_scenario(
@@ -216,6 +245,7 @@ class TestScenarioValidation:
         {"hops": [{"mg": {"terms": [[1.0, 2.0, 1.0]]}, "xi_sq": None,
                    "A0": 1.0}]},
         {"sweep": {"start_db": 0.0, "stop_db": 0.0, "step_db": None}},
+        {"sweep": {"start_db": 0.0, "stop_db": 30.0, "step_db": 1e-9}},
     ])
     def test_bad_configs_exit_2(self, tmp_path, patch, capsys):
         path = write_scenario(tmp_path, **patch)
@@ -227,6 +257,20 @@ class TestScenarioValidation:
     def test_bad_mc_block_exit_2_in_verify(self, tmp_path, mc, capsys):
         path = write_scenario(tmp_path, mc=mc)
         assert cli.main(["verify", "--config", path]) == 2
+        _, err = capsys.readouterr()
+        assert err.startswith("error: ")
+
+    def test_grid_size_bounded(self):
+        assert len(cli._grid(0.0, 9999.0, 1.0)) == 10_000
+        with pytest.raises(cli.ScenarioError):
+            cli._grid(0.0, 10_000.0, 1.0)
+
+    def test_x_db_range_bounded(self, unit_scenario, capsys):
+        # 0..30 dB in steps of 1e-9 would be a 3e10-point range
+        started = time.perf_counter()
+        assert cli.main(["cdf", "--config", unit_scenario, "--gamma-bar-db",
+                         "0", "--x-db", "0:30:1e-9"]) == 2
+        assert time.perf_counter() - started < 1.0
         _, err = capsys.readouterr()
         assert err.startswith("error: ")
 

@@ -228,6 +228,11 @@ class TestBoundPdf:
             * math.exp(-c * x / s)
         assert fr.snr_pdf_bound(hop, x) == pytest.approx(expected, rel=1e-12)
 
+    def test_rejects_shape_above_pointing_plus_one(self):
+        # b - xi^2 = 2: the envelope of Gamma(s, y) would fall below the pdf
+        with pytest.raises(IntegerConditionError):
+            fr.snr_pdf_bound(make_hop(5, 3, 1, 10.0), 1.0)
+
     def test_bound_kernel_mass_exceeds_one(self):
         kern = fr.bound_kernel(self.bound_hop())
         assert kern.mode == "bound"

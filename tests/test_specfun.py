@@ -252,6 +252,16 @@ class TestWhittakerW:
         for k, m, v in zip(kappa, mu, vals):
             assert v == fr.whittaker_w(float(k), float(m), 2.0)
 
+    def test_one_fallback_warning_per_call(self, caplog):
+        a = np.array([3.5, 5.5, 7.5, 9.5])
+        z = np.array([1.3e-4, 1.3e-3, 1.3e-2])[:, None]
+        bad = int(np.sum(~np.isfinite(special.hyperu(a, 6.0, z))))
+        assert bad > 1
+        fr.whittaker_w(3.0 - a, 2.5, z)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"hyperu non-finite at {bad} of 12 arguments; "
+            "used its integral representation"]
+
     # (a, b, z) of the fixed-gain ABER at (alpha, beta, xi^2) = (8, 6, 1),
     # where scipy's hyperu is non-finite
     @pytest.mark.parametrize("a", [3.5, 5.5, 7.5, 9.5])
