@@ -9,7 +9,7 @@ conditions as the CDF sums (exact kernels on both hops).
 
 The closed forms are computed from a LinkPlan: the CSI (q=0) and
 fixed-gain ABERs transform the columns of the plan's merged CDF term
-table, whose terms each integrate to one 2F1 resp. Whittaker-W factor,
+table, whose terms each integrate to one 2F1 resp. confluent-U factor,
 and the DF ABER pairs the terms of the two hop tails.  The special
 functions are evaluated once per distinct argument tuple and gathered
 back onto the terms.
@@ -28,7 +28,6 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .errors import IntegerConditionError
-from .hop import ccdf_terms
 from .relay import (CsiAf, Df, FixedAf, LinkPlan, RelayLink, TermTable,
                     _oracle_cdf, _oracle_gain)
 from .specfun import _hyperu, gauss_2f1
@@ -152,7 +151,7 @@ def _aber_fixed_closed(table: TermTable, mod: Modulation) -> float:
 def _aber_df_closed(plan: LinkPlan, mod: Modulation) -> float:
     # the product of the hop tails sum_j exp(c_j) x^{r_j} e^{-lam_j x}
     # integrates termwise to Gamma(r1 + r2 + P) / (lam1 + lam2 + Q)^(...)
-    (c1, r1, lam1), (c2, r2, lam2) = (ccdf_terms(k) for k in plan.kernels)
+    (c1, r1, lam1), (c2, r2, lam2) = (k.ccdf_terms for k in plan.kernels)
     n = r1[:, None] + r2[None, :] + mod.p
     return _closed_sum(
         _log_pref(mod) + c1[:, None] + c2[None, :] + gammaln(n)

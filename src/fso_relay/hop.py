@@ -15,9 +15,9 @@ Three per-hop densities are provided:
 * the reduced PDF, a finite sum of Gamma kernels C x^{m-1} e^{-lam x},
   valid when xi^2 and every b_i - xi^2 are positive integers -- the form
   every downstream closed form consumes;
-* the bound PDF, an upper envelope obtained from Gamma(-j, x) <=
-  e^{-x} x^{-j-1}, used when the pointing parameter dominates the fading
-  shape (b_i - xi^2 <= 0).
+* the bound PDF, bound_kernel's upper envelope from Gamma(s, y) <=
+  y^{s-1} e^{-y} (s = b_i - xi^2), used when the pointing parameter
+  dominates the fading shape (b_i - xi^2 <= 0).
 
 The reduced/bound decomposition is packaged as an SnrKernel so that the
 relay and ABER layers can treat both regimes uniformly; kernels in the
@@ -150,6 +150,18 @@ class SnrKernel:
     def __len__(self) -> int:
         return len(self.power)
 
+    @cached_property
+    def ccdf_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Tail from x as sum_j exp(log_coef_j) x^{r_j} e^{-rate_j x}."""
+        m_t = np.asarray(self.power)
+        t = np.repeat(np.arange(len(m_t)), m_t)
+        m = m_t[t]
+        r = np.arange(len(t)) - np.repeat(np.cumsum(m_t) - m_t, m_t)
+        rate = np.asarray(self.rate)[t]
+        log_coef = (np.asarray(self.log_coef)[t] + gammaln(m)
+                    - gammaln(r + 1.0) - (m - r) * np.log(rate))
+        return log_coef, r, rate
+
 
 def _term_mass(log_coef: float, m: int, rate: float) -> float:
     return math.exp(log_coef + gammaln(m) - m * math.log(rate))
@@ -238,42 +250,10 @@ def snr_pdf_reduced(hop: HopChannel, x: float) -> float:
     return _kernel_pdf(kern, x)
 
 
-def snr_pdf_bound(hop: HopChannel, x: float) -> float:
-    """Upper bound of the SNR PDF from Gamma(s, y) <= y^{s-1} e^{-y}, which
-    holds for s = b_i - xi^2 <= 1 (exact at s = 1, tight at large y, i.e.
-    at low-to-moderate SNR); IntegerConditionError for any b_i - xi^2 > 1,
-    where the same formula falls below the PDF."""
-    if x <= 0.0:
-        raise ValueError(f"snr_pdf_bound needs x > 0, got {x}")
-    scale = hop.kernel_scale
-    xi2 = hop.pointing.xi_sq
-    if any(b - xi2 > 1.0 + _INT_TOL for _, b, _ in hop.mg.terms):
-        raise IntegerConditionError(
-            "snr_pdf_bound is an upper bound only when b_i - xi^2 <= 1")
-    return math.fsum(
-        math.exp(math.log(a) - math.log(c) + math.log(xi2)
-                 - (b - 1.0) * math.log(scale) + (b - 2.0) * math.log(x)
-                 - c * x / scale)
-        for a, b, c in hop.mg.terms)
-
-
 def _kernel_pdf(kern: SnrKernel, x: float) -> float:
     return math.fsum(
         math.exp(lc + (m - 1.0) * math.log(x) - lam * x)
         for lc, m, lam in zip(kern.log_coef, kern.power, kern.rate))
-
-
-def ccdf_terms(kern: SnrKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Terms of the kernel tail integral as columns (log_coef, r, rate):
-    the tail from x is sum_j exp(log_coef_j) x^{r_j} e^{-rate_j x}."""
-    m_t = np.asarray(kern.power)
-    t = np.repeat(np.arange(len(m_t)), m_t)
-    m = m_t[t]
-    r = np.arange(len(t)) - np.repeat(np.cumsum(m_t) - m_t, m_t)
-    rate = np.asarray(kern.rate)[t]
-    log_coef = (np.asarray(kern.log_coef)[t] + gammaln(m) - gammaln(r + 1.0)
-                - (m - r) * np.log(rate))
-    return log_coef, r, rate
 
 
 def kernel_ccdf(kern: SnrKernel, x: float) -> float:
@@ -286,7 +266,7 @@ def kernel_ccdf(kern: SnrKernel, x: float) -> float:
         raise ValueError(f"kernel_ccdf needs x >= 0, got {x}")
     if x == 0.0:
         return kern.mass
-    log_coef, r, rate = ccdf_terms(kern)
+    log_coef, r, rate = kern.ccdf_terms
     return math.fsum(np.exp(log_coef + r * math.log(x) - rate * x).tolist())
 
 

@@ -1,12 +1,14 @@
 """Real-valued special functions used by the closed-form link statistics.
 
 Everything here is a deterministic pure function.  Bessel K, the Gauss
-and confluent hypergeometric functions and the Gauss-Laguerre nodes wrap
-their scipy routines with argument checks and overflow handling; the
-Gamma and error functions are used directly from scipy and math.  The
-pieces scipy does not provide -- the upper incomplete Gamma with
-non-positive first argument and its exponentially-scaled variant -- are
-implemented here.  Small arguments use the finite downward recurrence
+hypergeometric function and the Gauss-Laguerre nodes wrap their scipy
+routines with argument checks and overflow handling; the Gamma and error
+functions are used directly from scipy and math.  The pieces scipy does
+not provide are implemented here: the confluent U by the trapezoidal
+rule on its integral (scipy's hyperu is non-finite or inaccurate at some
+arguments the fixed-gain ABER needs), and the upper incomplete Gamma with
+non-positive first argument and its exponentially-scaled variant.  Small
+arguments use the finite downward recurrence
 
     Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a
 
@@ -17,15 +19,12 @@ once x dominates the order.
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
 from scipy import special as sp
 
 from .errors import ConvergenceError
-
-log = logging.getLogger(__name__)
 
 _EULER_GAMMA = 0.5772156649015329
 # the Lentz continued fraction for Gamma(a, x) converges fast and to
@@ -117,9 +116,10 @@ def bessel_k(nu: float, x: float) -> float:
 def log_bessel_k(nu, x):
     """ln K_nu(x) for x > 0, elementwise on arrays.
 
-    Uses the exponentially scaled kv to stay finite for large x, and the
-    small-argument forms K_n(x) ~ (Gamma(n)/2)(2/x)^n (n > 0) resp.
-    -ln(x/2) - euler_gamma (n = 0) where even the scaled value overflows.
+    Uses the exponentially scaled kv; where that is not finite, above
+    x = nu + 1 (kve is NaN from x ~ 1.07e9) K_nu(x) ~ sqrt(pi/(2x)) e^{-x},
+    below it the small-argument forms K_n(x) ~ (Gamma(n)/2)(2/x)^n (n > 0)
+    resp. -ln(x/2) - euler_gamma (n = 0), where kve overflows.
     """
     nu = np.abs(np.asarray(nu, dtype=float))
     x = np.asarray(x, dtype=float)
@@ -130,6 +130,9 @@ def log_bessel_k(nu, x):
     bad = ~np.isfinite(out)
     if np.any(bad):
         nu_b, x_b = np.broadcast_arrays(nu, x)
+        large = bad & (x_b > nu_b + 1.0)
+        out = np.where(large, 0.5 * np.log(np.pi / (2.0 * x_b)) - x_b, out)
+        bad &= ~large
         small = bad & (nu_b > 0.0)
         out = np.where(small,
                        sp.gammaln(np.where(small, nu_b, 1.0))
@@ -164,52 +167,36 @@ def gauss_2f1(a, b, c, z):
     return val if val.ndim else float(val)
 
 
-def _hyperu_quadrature(a: float, b: float, z: float) -> float:
-    # With t = s/z the integral representation reads
-    #   U(a,b,z) = z^{-a}/Gamma(a) int_0^inf e^{-s} s^{a-1} (1+s/z)^{b-a-1} ds,
-    # a > 0, whose integrand keeps the e^{-s} scale however small z is
-    # (in t the mass spreads over t ~ 1/z, where a fixed-budget quad loses
-    # digits).
-    if a <= 0.0:
-        raise ConvergenceError(
-            f"no quadrature fallback for hyperu with a={a} <= 0")
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda s: math.exp(-s + (a - 1.0) * math.log(s)
-                                     + (b - a - 1.0) * math.log1p(s / z)),
-                  0.0, np.inf, epsabs=0.0, epsrel=1e-12, limit=200)
-    return math.exp(math.log(val) - a * math.log(z) - math.lgamma(a))
-
-
 def _hyperu(a: np.ndarray, b: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Confluent U(a, b, z) elementwise: scipy's hyperu, and its integral
-    representation where that is non-finite (one warning per call)."""
-    u = np.array(sp.hyperu(a, b, z), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(u))
-    for i in bad:
-        u.flat[i] = _hyperu_quadrature(a.flat[i], b.flat[i], z.flat[i])
-    if bad.size:
-        log.warning("hyperu non-finite at %d of %d arguments; used its "
-                    "integral representation", bad.size, u.size)
-    return u
+    """Confluent U(a, b, z) elementwise on 1-D arrays, a > 0, z > 0.
 
-
-def whittaker_w(kappa, mu, z):
-    """Whittaker W_{kappa,mu}(z) for z > 0, elementwise on arrays.
-
-    Evaluated as e^{-z/2} z^{mu+1/2} U(mu - kappa + 1/2, 1 + 2 mu, z); the
-    mu -> -mu symmetry of W is applied first so the confluent U is always
-    called with second parameter >= 1.  Where the scipy U backend returns
-    a non-finite value, U comes from its integral representation instead.
+    U = z^{-a}/Gamma(a) int exp(a u - e^u + (b-a-1) log1p(e^u/z)) du, the
+    integral representation in s = e^u, by the trapezoidal rule, whose
+    error falls off exponentially in 1/h for this analytic integrand.  The
+    step is 0.15, or 0.6 of the peak width 1/sqrt(max(a, b-1)) if smaller;
+    u spans [min(ln z, 0) - 38/a, ln(a+38) + 1], outside which the
+    integrand is below e^{-38} of its peak.  Each row is a log-sum-exp;
+    rows go 256 at a time to bound the transient memory.
     """
-    kappa, mu, z = np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                         for v in (kappa, mu, z)))
-    if np.any(z <= 0.0):
-        raise ValueError("whittaker_w needs z > 0")
-    mu = np.abs(mu)
-    u = _hyperu(mu - kappa + 0.5, 1.0 + 2.0 * mu, z)
-    out = np.exp(-0.5 * z + (mu + 0.5) * np.log(z)) * u
-    return out if out.ndim else float(out)
+    log_z = np.log(z)
+    h = np.minimum(0.15, 0.6 / np.sqrt(np.maximum(a, b - 1.0)))
+    lo = np.minimum(log_z, 0.0) - 38.0 / a
+    hi = np.log(a + 38.0) + 1.0
+    n = np.ceil((hi - lo) / h).astype(int) + 1
+    log_int = np.empty(len(a))
+    for start in range(0, len(a), 256):
+        r = slice(start, start + 256)
+        j = np.arange(n[r].max())
+        # columns past a row's own n are clipped to hi and masked out; the
+        # running sum adds their zeros last, so no row depends on the others
+        u = np.minimum(lo[r, None] + h[r, None] * j, hi[r, None])
+        g = np.where(j < n[r, None],
+                     a[r, None] * u - np.exp(u) + (b[r, None] - a[r, None] - 1.0)
+                     * np.log1p(np.exp(u - log_z[r, None])), -np.inf)
+        peak = g.max(axis=1)
+        log_int[r] = peak + np.log(
+            h[r] * np.cumsum(np.exp(g - peak[:, None]), axis=1)[:, -1])
+    return np.exp(log_int - a * log_z - sp.gammaln(a))
 
 
 def gauss_laguerre(L: int) -> list[tuple[float, float]]:

@@ -115,6 +115,17 @@ class TestFixedAber:
         assert closed == pytest.approx(fr.aber_quadrature(link, fr.BPSK),
                                        rel=1e-10)
 
+    def test_no_warning_at_high_snr(self):
+        # at 80 dB scipy's hyperu is non-finite at some of the sum's U
+        # arguments; U is evaluated there without any quadrature warning
+        h = make_hop(4, 2, 1, 80.0)
+        link = fr.RelayLink(h, h, fr.FixedAf())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            closed = fr.aber(link, fr.BPSK)
+        assert closed == pytest.approx(fr.aber_quadrature(link, fr.BPSK),
+                                       rel=1e-6)
+
     def test_matches_monte_carlo(self):
         for al, be, xi, db in [(4, 2, 1, 10.0), (5, 3, 2, 5.0)]:
             h = make_hop(al, be, xi, db)
@@ -183,8 +194,8 @@ class TestStrongTurbulence:
                                               (fr.FixedAf(), fr.aber_fixed),
                                               (fr.Df(), fr.aber_df)])
     def test_closed_forms_match_kernel_quadrature(self, proto, closed, db):
-        """(8, 6, 1): the fixed-gain sum needs confluent U where scipy's
-        hyperu is non-finite."""
+        """(8, 6, 1): the fixed-gain sum needs the confluent U at arguments
+        where scipy's hyperu is non-finite."""
         h = make_hop(8, 6, 1, db)
         link = fr.RelayLink(h, h, proto)
         assert closed(link, fr.BPSK) == pytest.approx(

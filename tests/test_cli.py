@@ -114,9 +114,8 @@ class TestSweep:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_stderr_reproducible_in_grid_order(self, tmp_path):
-        # (8,6,1) fixed gain: scipy's hyperu is non-finite at some arguments
-        # of the closed ABER at both points; the points run in grid order
-        # and each ABER logs one line for all of its fallbacks
+        # (8,6,1) fixed gain: the closed ABER's confluent U arguments include
+        # ones where scipy's hyperu is non-finite; nothing reaches stderr
         path = write_scenario(
             tmp_path,
             hops=[{"alpha": 8, "beta": 6, "L": 10, "xi_sq": 1,
@@ -130,12 +129,7 @@ class TestSweep:
                      "--config", path],
                     capture_output=True, env=env, check=True).stderr
                 for _ in range(2)]
-        assert errs[0] == errs[1]
-        lines = errs[0].decode().splitlines()
-        assert len(lines) == 2
-        assert all(line.startswith(
-            "WARNING fso_relay.specfun: hyperu non-finite at ")
-            for line in lines)
+        assert errs == [b"", b""]
 
     def test_bound_regime_labeled(self, tmp_path, capsys):
         path = write_scenario(
@@ -333,10 +327,3 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         assert cli.main(["verify", "--config", str(path)]) == 2
 
-
-class TestLogging:
-    def test_log_level_from_environment(self, unit_scenario, monkeypatch,
-                                        capsys):
-        monkeypatch.setenv("FSO_RELAY_LOG", "DEBUG")
-        assert cli.main(["sweep", "--config", unit_scenario,
-                         "--protocol", "df"]) == 0

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 import fso_relay as fr
 from fso_relay.errors import IntegerConditionError
+from fso_relay.hop import _kernel_pdf, kernel_ccdf
 from helpers import make_hop, unit_hop
 
 
@@ -70,6 +71,16 @@ class TestTypes:
         assert "kernel_scale" not in fresh.__dict__
         assert fresh == used and hash(fresh) == hash(used)
         assert fresh.kernel_scale == scale
+
+    def test_kernel_tail_terms_cached_outside_identity(self):
+        """A kernel's tail columns are built once, at first use."""
+        fresh, used = (fr.reduced_kernel(make_hop(4, 2, 1, 10.0))
+                       for _ in range(2))
+        kernel_ccdf(used, 1.0)
+        assert "ccdf_terms" not in fresh.__dict__
+        assert used.ccdf_terms is used.ccdf_terms
+        assert fresh == used and hash(fresh) == hash(used)
+        assert kernel_ccdf(fresh, 1.0) == kernel_ccdf(used, 1.0)
 
 
 class TestMeanIrradiance:
@@ -202,19 +213,25 @@ class TestReducedPdf:
             fr.snr_pdf_reduced(hop, 1.0)
 
 
+def _bound_pdf(hop, x):
+    return _kernel_pdf(fr.bound_kernel(hop), x)
+
+
 class TestBoundPdf:
+    """The bound PDF is the density of the bound kernel."""
+
     def bound_hop(self, xi_sq=2.0, gamma_bar=10.0):
         return make_hop(4, 2, xi_sq, 10.0 * math.log10(gamma_bar))
 
     def test_upper_bounds_exact_pdf(self):
         hop = self.bound_hop()
         for x in np.geomspace(1e-3, 100.0, 40):
-            assert fr.snr_pdf_bound(hop, x) >= fr.snr_pdf(hop, x) * (1 - 1e-12)
+            assert _bound_pdf(hop, x) >= fr.snr_pdf(hop, x) * (1 - 1e-12)
 
     def test_ratio_tends_to_one_at_large_argument(self):
         hop = self.bound_hop(gamma_bar=0.05)  # rate >> 1: envelope is tight
         x = 50.0
-        assert fr.snr_pdf(hop, x) / fr.snr_pdf_bound(hop, x) \
+        assert fr.snr_pdf(hop, x) / _bound_pdf(hop, x) \
             == pytest.approx(1.0, abs=0.02)
 
     def test_single_term_formula(self):
@@ -226,12 +243,12 @@ class TestBoundPdf:
         x = 1.7
         expected = a / c * 3.0 * s ** (1.0 - b) * x ** (b - 2.0) \
             * math.exp(-c * x / s)
-        assert fr.snr_pdf_bound(hop, x) == pytest.approx(expected, rel=1e-12)
+        assert _bound_pdf(hop, x) == pytest.approx(expected, rel=1e-12)
 
     def test_rejects_shape_above_pointing_plus_one(self):
         # b - xi^2 = 2: the envelope of Gamma(s, y) would fall below the pdf
         with pytest.raises(IntegerConditionError):
-            fr.snr_pdf_bound(make_hop(5, 3, 1, 10.0), 1.0)
+            fr.bound_kernel(make_hop(5, 3, 1, 10.0))
 
     def test_bound_kernel_mass_exceeds_one(self):
         kern = fr.bound_kernel(self.bound_hop())

@@ -6,7 +6,7 @@ the library's accuracy contract of 1e-10 relative.
 """
 
 import math
-import warnings
+import sys
 
 import numpy as np
 import pytest
@@ -14,6 +14,9 @@ from scipy import special
 from scipy.integrate import quad
 
 import fso_relay as fr
+from fso_relay.specfun import _hyperu
+
+from helpers import make_hop
 
 
 class TestUpperIncGamma:
@@ -166,6 +169,16 @@ class TestBesselK:
         expected = math.log(math.gamma(3.0) / 2.0) - 3.0 * math.log(5e-121)
         assert val == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("nu", [0.0, 3.0])
+    def test_log_variant_huge_argument(self, nu):
+        from fso_relay.specfun import log_bessel_k
+
+        # scipy's kve is NaN here; the large-argument form takes over
+        # (its next term, ln(1 + (4 nu^2 - 1)/(8x)), is below 1e-8)
+        x = 3e9
+        assert log_bessel_k(nu, x) == pytest.approx(
+            0.5 * math.log(math.pi / (2.0 * x)) - x, rel=1e-15)
+
 
 class TestGauss2F1:
     def test_at_zero(self):
@@ -204,21 +217,105 @@ class TestGauss2F1:
             fr.gauss_2f1(1.0, 1.0, np.array([2.0, -1.0]), 0.5)
 
 
+def _fixed_aber_u_arguments():
+    """The distinct (a, b, z) at which the closed fixed-gain ABER of the
+    (8, 6, 1) link evaluates the confluent U, at 20 and 30 dB."""
+    aber_mod = sys.modules["fso_relay.aber"]
+    seen = []
+
+    def record(a, b, z):
+        seen.append(np.column_stack([a, b, z]))
+        return _hyperu(a, b, z)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(aber_mod, "_hyperu", record)
+        for db in (20.0, 30.0):
+            hop = make_hop(8, 6, 1, db)
+            fr.aber(fr.RelayLink(hop, hop, fr.FixedAf()), fr.BPSK)
+    return np.unique(np.vstack(seen), axis=0)
+
+
+def _mpmath_hyperu(a, b, z):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        return np.array([float(mpmath.hyperu(*abz))
+                         for abz in zip(a, b, z)])
+
+
+class TestConfluentU:
+    def test_against_mpmath_on_grid(self):
+        grid = np.meshgrid(np.arange(0.5, 17.0), np.arange(1.0, 10.0),
+                           np.geomspace(1e-6, 5e3, 15), indexing="ij")
+        a, b, z = (v.ravel() for v in grid)
+        assert a.size == 2295
+        np.testing.assert_allclose(_hyperu(a, b, z), _mpmath_hyperu(a, b, z),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_against_mpmath_at_large_parameters(self):
+        # the integrand's peak narrows like 1/sqrt(max(a, b-1)); a fixed
+        # step of 0.15 is up to 8e-3 off here
+        grid = [(a, b, z) for a in (30.0, 60.0, 100.0)
+                for b in (1.0, a, 2.0 * a - 1.0) for z in (1.0, 30.0)]
+        a, b, z = np.array(grid).T
+        np.testing.assert_allclose(_hyperu(a, b, z), _mpmath_hyperu(a, b, z),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_against_mpmath_where_scipy_is_not_finite(self):
+        args = _fixed_aber_u_arguments()
+        args = args[~np.isfinite(special.hyperu(*args.T))]
+        assert len(args) == 378
+        np.testing.assert_allclose(_hyperu(*args.T), _mpmath_hyperu(*args.T),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_where_scipy_is_inaccurate(self):
+        # scipy's hyperu is 7.8e-4 relative off here
+        a, b, z = np.array([11.5]), np.array([2.0]), np.array([4.66])
+        np.testing.assert_allclose(_hyperu(a, b, z), _mpmath_hyperu(a, b, z),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_kummer_transformation(self):
+        """U(a, b, z) = z^{1-b} U(a-b+1, 2-b, z), here with b < 1 on the
+        right."""
+        a, b = np.full(3, 2.5), np.full(3, 1.7)
+        z = np.array([1e-3, 0.4, 30.0])
+        np.testing.assert_allclose(
+            _hyperu(a, b, z), z ** (1.0 - b) * _hyperu(a - b + 1.0, 2.0 - b, z),
+            rtol=1e-13, atol=0.0)
+
+    def test_value_independent_of_batch(self):
+        """Each U is summed on its own nodes, whatever else is in its
+        chunk."""
+        args = _fixed_aber_u_arguments()[::7]
+        batch = _hyperu(*args.T)
+        assert all(u == _hyperu(*row[:, None]) for u, row in zip(batch, args))
+
+
+def _whittaker_w(kappa, mu, z):
+    """W_{kappa,mu}(z) = e^{-z/2} z^{mu+1/2} U(mu - kappa + 1/2, 1 + 2 mu, z),
+    the form in which the closed fixed-gain ABER uses the confluent U."""
+    kappa, mu, z = np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                         for v in (kappa, mu, z)))
+    u = _hyperu(*(v.ravel() for v in (mu - kappa + 0.5, 1.0 + 2.0 * mu, z)))
+    return np.exp(-0.5 * z + (mu + 0.5) * np.log(z)) * u.reshape(z.shape)
+
+
 class TestWhittakerW:
+    """Whittaker W formed from the confluent U."""
+
     def test_mu_symmetry(self):
-        for kappa, mu, z in [(-0.7, 0.4, 1.3), (0.2, 1.1, 2.5)]:
-            assert fr.whittaker_w(kappa, mu, z) == pytest.approx(
-                fr.whittaker_w(kappa, -mu, z), rel=1e-12)
+        for kappa, mu, z in [(-0.7, 0.4, 1.3), (-1.2, 0.6, 2.5)]:
+            assert _whittaker_w(kappa, mu, z) == pytest.approx(
+                _whittaker_w(kappa, -mu, z), rel=1e-12)
 
     def test_bessel_identity(self):
         """W_{0,mu}(2z) = sqrt(2z/pi) K_mu(z)."""
         mu, z = 0.3, 1.5
         expected = math.sqrt(2.0 * z / math.pi) * fr.bessel_k(mu, z)
-        assert fr.whittaker_w(0.0, mu, 2.0 * z) == pytest.approx(expected,
-                                                                 rel=1e-10)
+        assert _whittaker_w(0.0, mu, 2.0 * z) == pytest.approx(expected,
+                                                               rel=1e-10)
 
     def test_reference_point(self):
-        assert fr.whittaker_w(-0.5, 0.5, 1.0) == pytest.approx(
+        assert _whittaker_w(-0.5, 0.5, 1.0) == pytest.approx(
             0.412999214846500869, rel=1e-10)
 
     def test_against_u_integral(self):
@@ -230,37 +327,21 @@ class TestWhittakerW:
                       epsabs=1e-13, limit=300)
         ref /= math.gamma(a)
         expected = math.exp(-0.5 * z) * z ** (0.5 + 0.5) * ref
-        assert fr.whittaker_w(-0.5, 0.5, z) == pytest.approx(expected,
-                                                             rel=1e-9)
+        assert _whittaker_w(-0.5, 0.5, z) == pytest.approx(expected,
+                                                           rel=1e-9)
 
     def test_half_integer_degenerate_parameters(self):
-        # 1 + 2mu integer: the U backend must still deliver
-        val = fr.whittaker_w(-1.0, 1.0, 2.0)
+        # 1 + 2mu integer: U must still deliver
+        val = _whittaker_w(-1.0, 1.0, 2.0)
         assert math.isfinite(val) and val > 0.0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            fr.whittaker_w(0.0, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            fr.whittaker_w(0.0, 0.5, np.array([1.0, -1.0]))
 
     def test_elementwise(self):
         kappa = np.array([-0.7, 0.2, -1.0])
         mu = np.array([0.4, 1.1, 1.0])
-        vals = fr.whittaker_w(kappa, mu, 2.0)
+        vals = _whittaker_w(kappa, mu, 2.0)
         assert vals.shape == kappa.shape
         for k, m, v in zip(kappa, mu, vals):
-            assert v == fr.whittaker_w(float(k), float(m), 2.0)
-
-    def test_one_fallback_warning_per_call(self, caplog):
-        a = np.array([3.5, 5.5, 7.5, 9.5])
-        z = np.array([1.3e-4, 1.3e-3, 1.3e-2])[:, None]
-        bad = int(np.sum(~np.isfinite(special.hyperu(a, 6.0, z))))
-        assert bad > 1
-        fr.whittaker_w(3.0 - a, 2.5, z)
-        assert [r.getMessage() for r in caplog.records] == [
-            f"hyperu non-finite at {bad} of 12 arguments; "
-            "used its integral representation"]
+            assert v == _whittaker_w(float(k), float(m), 2.0)
 
     # (a, b, z) of the fixed-gain ABER at (alpha, beta, xi^2) = (8, 6, 1),
     # where scipy's hyperu is non-finite
@@ -269,16 +350,13 @@ class TestWhittakerW:
     @pytest.mark.parametrize("z", [1.3e-4, 1.3e-3, 1.3e-2])
     def test_hyperu_fallback_against_mpmath(self, a, b, z):
         mpmath = pytest.importorskip("mpmath")
-        from fso_relay.specfun import _hyperu_quadrature
 
         mpmath.mp.dps = 30
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            val = _hyperu_quadrature(a, b, z)
-            w = fr.whittaker_w(0.5 * b - a, 0.5 * (b - 1.0), z)
-        assert val == pytest.approx(float(mpmath.hyperu(a, b, z)), rel=1e-10)
+        [val] = _hyperu(np.array([a]), np.array([b]), np.array([z]))
+        w = _whittaker_w(0.5 * b - a, 0.5 * (b - 1.0), z)
+        assert val == pytest.approx(float(mpmath.hyperu(a, b, z)), rel=1e-12)
         assert w == pytest.approx(
-            float(mpmath.whitw(0.5 * b - a, 0.5 * (b - 1.0), z)), rel=1e-10)
+            float(mpmath.whitw(0.5 * b - a, 0.5 * (b - 1.0), z)), rel=1e-12)
 
 
 class TestGaussLaguerre:
