@@ -30,7 +30,7 @@ from scipy.special import gammaln
 from .errors import IntegerConditionError
 from .relay import (CsiAf, Df, FixedAf, LinkPlan, RelayLink, TermTable,
                     _oracle_cdf, _oracle_gain)
-from .specfun import _hyperu, gauss_2f1
+from .specfun import _log_hyperu, gauss_2f1
 
 _BER_FLOOR = 1e-300
 _LN2 = math.log(2.0)
@@ -140,12 +140,12 @@ def _aber_fixed_closed(table: TermTable, mod: Modulation) -> float:
     w = table.big_r / a_rate
     # e^{w/2} W_{-(rho-1/2), nu/2}(w) = w^{(nu+1)/2} U(rho + nu/2, 1 + nu, w),
     # formed in logs: e^{-w/2} inside W underflows once w passes ~1,500
-    u = _per_distinct(_hyperu, rho + 0.5 * nu, 1.0 + nu, w)
+    log_u = _per_distinct(_log_hyperu, rho + 0.5 * nu, 1.0 + nu, w)
     return _closed_sum(
         _log_pref(mod) + table.log_coef + gammaln(rho + 0.5 * nu)
         + gammaln(rho - 0.5 * nu) - _LN2 - 0.5 * np.log(table.big_r)
         - (rho - 0.5) * np.log(a_rate) + 0.5 * (nu + 1.0) * np.log(w)
-        + np.log(u))
+        + log_u)
 
 
 def _aber_df_closed(plan: LinkPlan, mod: Modulation) -> float:

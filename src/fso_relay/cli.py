@@ -31,7 +31,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -334,13 +333,8 @@ def cmd_verify(args) -> int:
                 for metric, (closed, quadv, est) in (("outage", outage),
                                                      ("aber", aber))]
 
-    tasks = [(g, p) for g in scenario.grid_db for p in scenario.protocols]
-    # cells overlap: their Monte Carlo blocks run in numpy outside the GIL
-    # while another cell's quadrature oracle runs in Python
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        per_task = list(pool.map(
-            lambda gp: _point_rows(scenario, gp[0], gp[1:], checks), tasks))
-    rows = [row + [_passed(row)] for task in per_task for row in task]
+    rows = [row + [_passed(row)] for g in scenario.grid_db
+            for row in _point_rows(scenario, g, scenario.protocols, checks)]
     _write_rows(["gamma_bar_db", "protocol", "metric", "analytic",
                  "quadrature", "mc", "mc_std_err", "mc_ci_low", "mc_ci_high",
                  "method", "bound_regime", "passed"], rows, args.out)

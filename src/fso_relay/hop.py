@@ -227,18 +227,40 @@ def auto_kernel(hop: HopChannel) -> SnrKernel:
         return bound_kernel(hop)
 
 
-def snr_pdf(hop: HopChannel, x: float) -> float:
-    """Exact SNR PDF, valid for any real fading/pointing parameters."""
-    if x <= 0.0:
-        raise ValueError(f"snr_pdf needs x > 0, got {x}")
+def _mixture_columns(hop: HopChannel):
+    """Weights a_i, shapes b_i and rates c_i of the hop's mixture, each as
+    an (L, 1) column."""
+    return (np.array(col)[:, None] for col in zip(*hop.mg.terms))
+
+
+def _upper_gamma_rows(shape: np.ndarray, shift: float,
+                      y: np.ndarray) -> np.ndarray:
+    """Gamma(shape_i - shift, y_ij) for a column of shapes, one
+    incomplete-Gamma call per distinct shape."""
+    out = np.empty_like(y)
+    for b in np.unique(shape):
+        rows = shape[:, 0] == b
+        out[rows] = upper_inc_gamma(b - shift, y[rows])
+    return out
+
+
+def snr_pdf(hop: HopChannel, x):
+    """Exact SNR PDF, valid for any real fading/pointing parameters;
+    elementwise on an array of x."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x <= 0.0):
+        raise ValueError(f"snr_pdf needs x > 0, got {x.min()}")
     scale = hop.kernel_scale
     xi2 = hop.pointing.xi_sq
-    terms = []
-    for a, b, c in hop.mg.terms:
-        lead = math.exp(math.log(a) + (xi2 - b) * math.log(c) + math.log(xi2)
-                        + (xi2 - 1.0) * math.log(x) - xi2 * math.log(scale))
-        terms.append(lead * upper_inc_gamma(b - xi2, c * x / scale))
-    return math.fsum(terms)
+    a, b, c = _mixture_columns(hop)
+    flat = x.ravel()
+    lead = np.exp(np.log(a) + (xi2 - b) * np.log(c) + math.log(xi2)
+                  + (xi2 - 1.0) * np.log(flat) - xi2 * math.log(scale))
+    # a running sum over the terms keeps each x's value independent of
+    # the other x (numpy's sum blocks a single column pairwise)
+    total = np.cumsum(lead * _upper_gamma_rows(b, xi2, c * flat / scale),
+                      axis=0)[-1]
+    return total.reshape(x.shape) if x.ndim else float(total[0])
 
 
 def snr_pdf_reduced(hop: HopChannel, x: float) -> float:
@@ -275,30 +297,30 @@ def snr_ccdf(hop: HopChannel, x: float) -> float:
     return kernel_ccdf(reduced_kernel(hop), x)
 
 
-def snr_ccdf_general(hop: HopChannel, x: float) -> float:
+def snr_ccdf_general(hop: HopChannel, x):
     """SNR CCDF for any real parameters, via one integration by parts of
     the incomplete-Gamma PDF:
 
-        ccdf(x) = sum_i a_i [ c^{-b} Gamma(b, lam x)
-                              - c^{xi2-b} (x/S)^{xi2} Gamma(b-xi2, lam x) ]
+        ccdf(x) = sum_i a_i c^{-b} [ Gamma(b, lam x)
+                                     - (lam x)^{xi2} Gamma(b-xi2, lam x) ],
 
-    Independent of the reduced triple-sum path; used by the quadrature
-    oracles."""
-    if x < 0.0:
-        raise ValueError(f"snr_ccdf_general needs x >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
-    scale = hop.kernel_scale
+    lam = c/S; elementwise on an array of x.  The two terms of a mixture
+    component nearly cancel in the tail, so each component's difference is
+    formed before the components are summed.  Independent of the reduced
+    triple-sum path; used by the quadrature oracles."""
+    x = np.asarray(x, dtype=float)
+    if np.any(x < 0.0):
+        raise ValueError(f"snr_ccdf_general needs x >= 0, got {x.min()}")
     xi2 = hop.pointing.xi_sq
-    terms = []
-    for a, b, c in hop.mg.terms:
-        lam_x = c * x / scale
-        if lam_x > 700.0:
-            continue  # tail mass below 1e-300
-        terms.append(math.exp(math.log(a) - b * math.log(c))
-                     * upper_inc_gamma(b, lam_x))
-        terms.append(-math.exp(math.log(a) + (xi2 - b) * math.log(c)
-                               + xi2 * (math.log(x) - math.log(scale)))
-                     * upper_inc_gamma(b - xi2, lam_x))
-    val = math.fsum(terms)
-    return min(1.0, max(0.0, val))
+    a, b, c = _mixture_columns(hop)
+    flat = x.ravel()
+    lam_x = c * flat / hop.kernel_scale
+    # beyond lam x = 700 a component's tail mass is below 1e-300
+    live = (lam_x > 0.0) & (lam_x <= 700.0)
+    y = np.where(live, lam_x, 700.0)
+    part = (_upper_gamma_rows(b, 0.0, y)
+            - y ** xi2 * _upper_gamma_rows(b, xi2, y))
+    total = np.cumsum(np.where(live, np.exp(np.log(a) - b * np.log(c)) * part,
+                               0.0), axis=0)[-1]
+    total = np.where(flat == 0.0, 1.0, np.clip(total, 0.0, 1.0))
+    return total.reshape(x.shape) if x.ndim else float(total[0])

@@ -14,9 +14,12 @@ Estimates therefore depend only on (seed, samples) -- not on the stream
 count used to execute the blocks, nor on scheduling.
 
 The ABER estimator averages the smooth conditional kernel
-Gamma(P, Q*gamma) / (2 Gamma(P)) (= erfc(sqrt(gamma))/2 for BPSK) instead
-of flipping bits; that is the exact expectation the ABER integral
-defines, at a fraction of the variance.
+Gamma(P, Q*gamma) / (2 Gamma(P)) instead of flipping bits; that is the
+exact expectation the ABER integral defines, at a fraction of the
+variance.  The kernel is evaluated in closed form where it has one,
+erfc(sqrt(Q*gamma))/2 for P = 1/2 (coherent binary) and e^{-Q*gamma}/2
+for P = 1 (DPSK), both an order of magnitude cheaper than scipy's
+regularized incomplete Gamma, which serves every other P.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
+from scipy.special import erfc, gammaincc
 
 from .aber import Modulation
 from .hop import HopChannel, mean_irradiance
@@ -145,6 +148,16 @@ def estimate_outage(link: RelayLink, gamma_th: float,
                     degenerate=degenerate)
 
 
+def _conditional_ber(mod: Modulation, g: np.ndarray) -> np.ndarray:
+    """Gamma(P, Q*g) / (2 Gamma(P)), in closed form for P = 1/2 and 1."""
+    qg = mod.q * g
+    if mod.p == 0.5:
+        return 0.5 * erfc(np.sqrt(qg))
+    if mod.p == 1.0:
+        return 0.5 * np.exp(-qg)
+    return 0.5 * gammaincc(mod.p, qg)
+
+
 def estimate_aber(link: RelayLink, mod: Modulation,
                   cfg: McConfig) -> Estimate:
     """ABER estimate: sample mean of Gamma(P, Q*gamma) / (2 Gamma(P))."""
@@ -154,7 +167,7 @@ def estimate_aber(link: RelayLink, mod: Modulation,
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed,
                                                            spawn_key=(b,)))
         g = _end_to_end(link, gain, rng, size)
-        kern = 0.5 * gammaincc(mod.p, mod.q * g)
+        kern = _conditional_ber(mod, g)
         return (float(kern.sum()), float(np.square(kern).sum()))
 
     total, total_sq = _blocked_reduce(cfg, block)

@@ -299,6 +299,50 @@ class TestSnrCcdf:
                 fr.snr_ccdf(hop, x), abs=1e-10)
 
 
+class TestIncompleteGammaRoutesOnArrays:
+    """snr_pdf and snr_ccdf_general, the quadrature oracle's per-hop
+    statistics, evaluate arrays of x elementwise."""
+
+    # integer conditions; b - xi^2 = 0 (E_1 seed); b - xi^2 = -1 (the
+    # recurrence below lam x = 2, the continued fraction above); real
+    # parameters off the integer conditions; two mixture shapes
+    HOPS = [lambda: make_hop(4, 2, 1, 10.0), lambda: make_hop(4, 2, 2, 10.0),
+            lambda: make_hop(4, 2, 3, 0.0), lambda: make_hop(2.9, 1.7, 0.8, 10.0),
+            lambda: fr.HopChannel(
+                mg=fr.MixtureGamma(terms=((0.5, 2.0, 1.0), (0.25, 3.0, 1.0))),
+                pointing=fr.Pointing(xi_sq=1.0, a0=1.0), gamma_bar=3.0)]
+
+    @pytest.mark.parametrize("fn", [fr.snr_pdf, fr.snr_ccdf_general])
+    @pytest.mark.parametrize("builder", HOPS)
+    def test_array_equals_scalar_calls(self, fn, builder):
+        hop = builder()
+        x = np.geomspace(1e-4, 3e3, 60) * hop.gamma_bar
+        vals = fn(hop, x)
+        assert vals.shape == x.shape
+        assert vals.tolist() == [fn(hop, float(v)) for v in x]
+        # the same x among other neighbours, and in a 2-D array
+        mixed = fn(hop, np.concatenate([x[::-1], x[:7] * 1.5]))
+        assert mixed[:len(x)][::-1].tolist() == vals.tolist()
+        assert fn(hop, x.reshape(6, 10)).ravel().tolist() == vals.tolist()
+
+    @pytest.mark.parametrize("builder", HOPS)
+    def test_ccdf_limits_on_arrays(self, builder):
+        hop = builder()
+        vals = fr.snr_ccdf_general(hop, np.array([0.0, 1e-9, 1e300]))
+        assert vals[0] == 1.0 and vals[1] == pytest.approx(1.0, abs=1e-6)
+        assert vals[2] == 0.0
+
+    def test_two_shapes_match_reduced_form(self):
+        hop = self.HOPS[-1]()
+        x = np.geomspace(1e-3, 50.0, 25)
+        np.testing.assert_allclose(
+            fr.snr_pdf(hop, x), [fr.snr_pdf_reduced(hop, v) for v in x],
+            rtol=1e-12)
+        np.testing.assert_allclose(
+            fr.snr_ccdf_general(hop, x), [fr.snr_ccdf(hop, v) for v in x],
+            rtol=1e-11, atol=1e-15)
+
+
 class TestScaleEquivariance:
     def test_pdf_and_ccdf_rescale_exactly(self):
         base = make_hop(4, 2, 1, 10.0)

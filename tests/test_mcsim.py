@@ -5,9 +5,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import gammaincc
 
 import fso_relay as fr
-from fso_relay.mcsim import _end_to_end
+from fso_relay import mcsim
+from fso_relay.mcsim import _conditional_ber, _end_to_end
 from helpers import make_hop, unit_hop
 
 
@@ -165,6 +167,39 @@ class TestEstimateAber:
                                fr.McConfig(samples=2_000_000, seed=17))
         assert est.ci95[0] - 1e-4 <= fr.aber_fixed(link, fr.BPSK) \
             <= est.ci95[1] + 1e-4
+
+    @pytest.mark.parametrize("mod", [fr.BPSK, fr.DPSK, fr.Modulation(0.5, 2.0),
+                                     fr.Modulation(1.0, 0.5)])
+    def test_closed_kernels_match_incomplete_gamma(self, mod):
+        g = np.geomspace(1e-8, 700.0, 400)
+        np.testing.assert_allclose(_conditional_ber(mod, g),
+                                   0.5 * gammaincc(mod.p, mod.q * g),
+                                   rtol=1e-12, atol=0.0)
+
+    def test_other_orders_use_incomplete_gamma(self, monkeypatch):
+        """P = 1/2 and 1 have closed kernels; P = 3/2 takes scipy's
+        regularized incomplete Gamma, with the same stream invariance."""
+        calls = []
+
+        def counted(p, x):
+            calls.append(p)
+            return gammaincc(p, x)
+
+        monkeypatch.setattr(mcsim, "gammaincc", counted)
+        hop = unit_hop()
+        link = fr.RelayLink(hop, hop, fr.Df())
+        for mod in (fr.BPSK, fr.DPSK):
+            fr.estimate_aber(link, mod, fr.McConfig(samples=100_000, seed=22))
+        assert calls == []
+        mod = fr.Modulation(1.5, 1.0)
+        ests = [fr.estimate_aber(link, mod, fr.McConfig(samples=300_000,
+                                                        seed=22, streams=s))
+                for s in (1, 4, 16)]
+        assert set(calls) == {1.5}
+        assert ests[0] == ests[1] == ests[2]
+        # min of two unit exponentials is Exp(2), and E[Q(P, g)] over
+        # g ~ Exp(2) is 1 - 3^{-P}
+        assert ests[0].ci95[0] <= 0.5 * (1.0 - 3.0 ** -1.5) <= ests[0].ci95[1]
 
 
 class TestDeterminism:

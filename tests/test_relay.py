@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import fso_relay as fr
+from fso_relay import relay
 from fso_relay.errors import IntegerConditionError
 from helpers import make_hop, unit_hop
 
@@ -182,6 +183,53 @@ class TestNumericOracle:
         val = fr.cdf_numeric(link, 1.0)
         assert 0.0 < val < 1.0
         assert fr.link_mode(link) == "numeric"
+
+    @pytest.mark.parametrize("proto", [fr.CsiAf(0), fr.CsiAf(1)])
+    def test_deep_upper_tail(self, proto):
+        """At 40 dB and x = 1e5 the CSI CDF is 1 - 1.08e-9: the integral is
+        a sliver of the density's mass, which an adaptive rule can miss
+        (it returned exactly 1 here)."""
+        h = make_hop(4, 2, 1, 40.0)
+        link = fr.RelayLink(h, h, proto)
+        closed, numeric = fr.cdf(link, 1e5), fr.cdf_numeric(link, 1e5)
+        assert closed < 1.0 - 1e-9
+        assert abs(numeric - closed) <= min(1e-12, 1e-9 * closed)
+
+    def test_small_fixed_gain_cdf_at_high_snr(self):
+        """(8, 6, 1) fixed gain at 80 dB, x = 1e-4: the CDF is 1.85e-12.
+        Both sides form it as a difference of numbers near 1, so they can
+        agree only absolutely, to a few 1e-15 (an adaptive rule was
+        6.3e-13 off)."""
+        h = make_hop(8, 6, 1, 80.0)
+        link = fr.RelayLink(h, h, fr.FixedAf())
+        closed, numeric = fr.cdf(link, 1e-4), fr.cdf_numeric(link, 1e-4)
+        assert 1e-12 < closed < 1e-11
+        assert abs(numeric - closed) <= 1e-14
+
+    @pytest.mark.parametrize("proto", [fr.CsiAf(0), fr.FixedAf()])
+    def test_step_resolves_large_shapes(self, proto, monkeypatch):
+        """(20, 18, 1): mixture shapes b_i = 18 narrow the integrand's peak
+        in u; a quarter of the rule's step moves no value by 1e-12."""
+        h = make_hop(20, 18, 1, 20.0)
+        link = fr.RelayLink(h, h, proto)
+        xs = (0.1, 10.0, 100.0, 1000.0)
+        values = [fr.cdf_numeric(link, x) for x in xs]
+        step = relay._step
+        monkeypatch.setattr(relay, "_step", lambda *hops: step(*hops) / 4.0)
+        for x, val in zip(xs, values):
+            fine = fr.cdf_numeric(link, x)
+            assert abs(val - fine) <= min(1e-12, 1e-9 * fine)
+
+    def test_df_large_shapes(self):
+        """(20, 18, 1) DF: the incomplete-Gamma CCDF, whose two terms per
+        mixture component nearly cancel in the tail, against the kernel
+        sums."""
+        h = make_hop(20, 18, 1, 20.0)
+        link = fr.RelayLink(h, h, fr.Df())
+        for x in (0.1, 10.0, 100.0, 1000.0):
+            closed = fr.cdf(link, x)
+            assert abs(fr.cdf_numeric(link, x) - closed) \
+                <= min(1e-12, 1e-9 * closed)
 
 
 def _termwise_tail(link, x):

@@ -14,7 +14,7 @@ from scipy import special
 from scipy.integrate import quad
 
 import fso_relay as fr
-from fso_relay.specfun import _hyperu
+from fso_relay.specfun import _log_hyperu
 
 from helpers import make_hop
 
@@ -80,6 +80,26 @@ class TestUpperIncGamma:
             fr.upper_inc_gamma(1.0, 0.0)
         with pytest.raises(ValueError):
             fr.upper_inc_gamma(1.0, -2.0)
+
+    @pytest.mark.parametrize("a", [-2.5, -1.0, 0.0, 0.5, 2.0, 6.0])
+    def test_array_against_mpmath(self, a):
+        """Elementwise on an array, through every branch: a > 0, and for
+        a <= 0 the recurrence below x = 2 and the continued fraction
+        above, where each element stops at its own converged step."""
+        mpmath = pytest.importorskip("mpmath")
+        x = np.geomspace(1e-3, 700.0, 80)
+        vals = fr.upper_inc_gamma(a, x)
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.gammainc(a, v)) for v in x])
+        np.testing.assert_allclose(vals, ref, rtol=1e-13, atol=0.0)
+        # the scalar route is the reference of the array route
+        np.testing.assert_allclose(
+            vals, [fr.upper_inc_gamma(a, float(v)) for v in x],
+            rtol=1e-13, atol=0.0)
+        # shape kept, and each value independent of its neighbours
+        grid = fr.upper_inc_gamma(a, x[::-1].reshape(8, 10))
+        assert grid.ravel().tolist() == vals[::-1].tolist()
+        assert fr.upper_inc_gamma(a, x[5:6])[0] == vals[5]
 
 
 class TestScaledUpperIncGamma:
@@ -225,21 +245,27 @@ def _fixed_aber_u_arguments():
 
     def record(a, b, z):
         seen.append(np.column_stack([a, b, z]))
-        return _hyperu(a, b, z)
+        return _log_hyperu(a, b, z)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(aber_mod, "_hyperu", record)
+        mp.setattr(aber_mod, "_log_hyperu", record)
         for db in (20.0, 30.0):
             hop = make_hop(8, 6, 1, db)
             fr.aber(fr.RelayLink(hop, hop, fr.FixedAf()), fr.BPSK)
     return np.unique(np.vstack(seen), axis=0)
 
 
-def _mpmath_hyperu(a, b, z):
+def _mpmath_log_hyperu(a, b, z):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(20):
-        return np.array([float(mpmath.hyperu(*abz))
+        return np.array([float(mpmath.log(mpmath.hyperu(*abz)))
                          for abz in zip(a, b, z)])
+
+
+def _assert_log_u_close(log_u, ref, rel):
+    """ln U within rel of ln U_ref absolutely, i.e. U within rel relative
+    (to first order)."""
+    np.testing.assert_allclose(log_u, ref, rtol=0.0, atol=rel)
 
 
 class TestConfluentU:
@@ -248,8 +274,8 @@ class TestConfluentU:
                            np.geomspace(1e-6, 5e3, 15), indexing="ij")
         a, b, z = (v.ravel() for v in grid)
         assert a.size == 2295
-        np.testing.assert_allclose(_hyperu(a, b, z), _mpmath_hyperu(a, b, z),
-                                   rtol=1e-12, atol=0.0)
+        _assert_log_u_close(_log_hyperu(a, b, z), _mpmath_log_hyperu(a, b, z),
+                            1e-12)
 
     def test_against_mpmath_at_large_parameters(self):
         # the integrand's peak narrows like 1/sqrt(max(a, b-1)); a fixed
@@ -257,37 +283,46 @@ class TestConfluentU:
         grid = [(a, b, z) for a in (30.0, 60.0, 100.0)
                 for b in (1.0, a, 2.0 * a - 1.0) for z in (1.0, 30.0)]
         a, b, z = np.array(grid).T
-        np.testing.assert_allclose(_hyperu(a, b, z), _mpmath_hyperu(a, b, z),
-                                   rtol=1e-12, atol=0.0)
+        _assert_log_u_close(_log_hyperu(a, b, z), _mpmath_log_hyperu(a, b, z),
+                            1e-12)
+
+    def test_beyond_the_float_range(self):
+        # U is about e^802 and e^1400 here, beyond the largest float
+        a, b = np.array([60.0, 100.0]), np.array([119.0, 199.0])
+        z = np.full(2, 0.01)
+        ref = _mpmath_log_hyperu(a, b, z)
+        assert np.all(ref > math.log(sys.float_info.max))
+        _assert_log_u_close(_log_hyperu(a, b, z), ref, 1e-12)
 
     def test_against_mpmath_where_scipy_is_not_finite(self):
         args = _fixed_aber_u_arguments()
         args = args[~np.isfinite(special.hyperu(*args.T))]
         assert len(args) == 378
-        np.testing.assert_allclose(_hyperu(*args.T), _mpmath_hyperu(*args.T),
-                                   rtol=1e-12, atol=0.0)
+        _assert_log_u_close(_log_hyperu(*args.T), _mpmath_log_hyperu(*args.T),
+                            1e-12)
 
     def test_where_scipy_is_inaccurate(self):
         # scipy's hyperu is 7.8e-4 relative off here
         a, b, z = np.array([11.5]), np.array([2.0]), np.array([4.66])
-        np.testing.assert_allclose(_hyperu(a, b, z), _mpmath_hyperu(a, b, z),
-                                   rtol=1e-12, atol=0.0)
+        _assert_log_u_close(_log_hyperu(a, b, z), _mpmath_log_hyperu(a, b, z),
+                            1e-12)
 
     def test_kummer_transformation(self):
         """U(a, b, z) = z^{1-b} U(a-b+1, 2-b, z), here with b < 1 on the
         right."""
         a, b = np.full(3, 2.5), np.full(3, 1.7)
         z = np.array([1e-3, 0.4, 30.0])
-        np.testing.assert_allclose(
-            _hyperu(a, b, z), z ** (1.0 - b) * _hyperu(a - b + 1.0, 2.0 - b, z),
-            rtol=1e-13, atol=0.0)
+        _assert_log_u_close(
+            _log_hyperu(a, b, z),
+            (1.0 - b) * np.log(z) + _log_hyperu(a - b + 1.0, 2.0 - b, z), 1e-13)
 
     def test_value_independent_of_batch(self):
         """Each U is summed on its own nodes, whatever else is in its
         chunk."""
         args = _fixed_aber_u_arguments()[::7]
-        batch = _hyperu(*args.T)
-        assert all(u == _hyperu(*row[:, None]) for u, row in zip(batch, args))
+        batch = _log_hyperu(*args.T)
+        assert all(u == _log_hyperu(*row[:, None])
+                   for u, row in zip(batch, args))
 
 
 def _whittaker_w(kappa, mu, z):
@@ -295,8 +330,9 @@ def _whittaker_w(kappa, mu, z):
     the form in which the closed fixed-gain ABER uses the confluent U."""
     kappa, mu, z = np.broadcast_arrays(*(np.asarray(v, dtype=float)
                                          for v in (kappa, mu, z)))
-    u = _hyperu(*(v.ravel() for v in (mu - kappa + 0.5, 1.0 + 2.0 * mu, z)))
-    return np.exp(-0.5 * z + (mu + 0.5) * np.log(z)) * u.reshape(z.shape)
+    log_u = _log_hyperu(*(v.ravel()
+                          for v in (mu - kappa + 0.5, 1.0 + 2.0 * mu, z)))
+    return np.exp(-0.5 * z + (mu + 0.5) * np.log(z) + log_u.reshape(z.shape))
 
 
 class TestWhittakerW:
@@ -352,7 +388,8 @@ class TestWhittakerW:
         mpmath = pytest.importorskip("mpmath")
 
         mpmath.mp.dps = 30
-        [val] = _hyperu(np.array([a]), np.array([b]), np.array([z]))
+        [val] = np.exp(_log_hyperu(np.array([a]), np.array([b]),
+                                   np.array([z])))
         w = _whittaker_w(0.5 * b - a, 0.5 * (b - 1.0), z)
         assert val == pytest.approx(float(mpmath.hyperu(a, b, z)), rel=1e-12)
         assert w == pytest.approx(
