@@ -35,7 +35,7 @@ from scipy.special import gammaln
 
 from .errors import IntegerConditionError
 from .mgfit import GammaGammaParams, MixtureGamma, mg_mean
-from .specfun import upper_inc_gamma
+from .specfun import _power_scaled_gamma, upper_inc_gamma
 
 _INT_TOL = 1e-9
 
@@ -233,14 +233,21 @@ def _mixture_columns(hop: HopChannel):
     return (np.array(col)[:, None] for col in zip(*hop.mg.terms))
 
 
-def _upper_gamma_rows(shape: np.ndarray, shift: float,
-                      y: np.ndarray) -> np.ndarray:
-    """Gamma(shape_i - shift, y_ij) for a column of shapes, one
-    incomplete-Gamma call per distinct shape."""
+def _upper_gamma_rows(shape: np.ndarray, shift: float, y: np.ndarray,
+                      power: float = 0.0) -> np.ndarray:
+    """y_ij^power Gamma(shape_i - shift, y_ij) for a column of shapes, one
+    incomplete-Gamma call per distinct shape.  A non-positive order a is
+    taken as y^{power+a} (y^{-a} Gamma(a, y)), finite where Gamma(a, y)
+    alone overflows at small y."""
     out = np.empty_like(y)
     for b in np.unique(shape):
         rows = shape[:, 0] == b
-        out[rows] = upper_inc_gamma(b - shift, y[rows])
+        a, yr = b - shift, y[rows]
+        if a > 0.0:
+            out[rows] = np.exp(power * np.log(yr)) * upper_inc_gamma(a, yr)
+        else:
+            out[rows] = (np.exp((power + a) * np.log(yr))
+                         * _power_scaled_gamma(a, yr))
     return out
 
 
@@ -254,12 +261,13 @@ def snr_pdf(hop: HopChannel, x):
     xi2 = hop.pointing.xi_sq
     a, b, c = _mixture_columns(hop)
     flat = x.ravel()
-    lead = np.exp(np.log(a) + (xi2 - b) * np.log(c) + math.log(xi2)
-                  + (xi2 - 1.0) * np.log(flat) - xi2 * math.log(scale))
+    # component i is a_i xi2 c_i^{1-b_i} / S * t^{xi2-1} Gamma(b_i - xi2, t)
+    # with t = c_i x / S
+    lead = np.exp(np.log(a) + (1.0 - b) * np.log(c) + math.log(xi2 / scale))
     # a running sum over the terms keeps each x's value independent of
     # the other x (numpy's sum blocks a single column pairwise)
-    total = np.cumsum(lead * _upper_gamma_rows(b, xi2, c * flat / scale),
-                      axis=0)[-1]
+    total = np.cumsum(lead * _upper_gamma_rows(b, xi2, c * flat / scale,
+                                               xi2 - 1.0), axis=0)[-1]
     return total.reshape(x.shape) if x.ndim else float(total[0])
 
 
@@ -318,8 +326,7 @@ def snr_ccdf_general(hop: HopChannel, x):
     # beyond lam x = 700 a component's tail mass is below 1e-300
     live = (lam_x > 0.0) & (lam_x <= 700.0)
     y = np.where(live, lam_x, 700.0)
-    part = (_upper_gamma_rows(b, 0.0, y)
-            - y ** xi2 * _upper_gamma_rows(b, xi2, y))
+    part = _upper_gamma_rows(b, 0.0, y) - _upper_gamma_rows(b, xi2, y, xi2)
     total = np.cumsum(np.where(live, np.exp(np.log(a) - b * np.log(c)) * part,
                                0.0), axis=0)[-1]
     total = np.where(flat == 0.0, 1.0, np.clip(total, 0.0, 1.0))

@@ -16,9 +16,8 @@ count used to execute the blocks, nor on scheduling.
 The ABER estimator averages the smooth conditional kernel
 Gamma(P, Q*gamma) / (2 Gamma(P)) instead of flipping bits; that is the
 exact expectation the ABER integral defines, at a fraction of the
-variance.  The kernel is evaluated in closed form where it has one,
-erfc(sqrt(Q*gamma))/2 for P = 1/2 (coherent binary) and e^{-Q*gamma}/2
-for P = 1 (DPSK), both an order of magnitude cheaper than scipy's
+variance.  For P = 1/2 (coherent binary) the kernel is evaluated as
+erfc(sqrt(Q*gamma))/2, an order of magnitude cheaper than scipy's
 regularized incomplete Gamma, which serves every other P.
 """
 
@@ -149,12 +148,10 @@ def estimate_outage(link: RelayLink, gamma_th: float,
 
 
 def _conditional_ber(mod: Modulation, g: np.ndarray) -> np.ndarray:
-    """Gamma(P, Q*g) / (2 Gamma(P)), in closed form for P = 1/2 and 1."""
+    """Gamma(P, Q*g) / (2 Gamma(P)), through erfc for P = 1/2."""
     qg = mod.q * g
     if mod.p == 0.5:
         return 0.5 * erfc(np.sqrt(qg))
-    if mod.p == 1.0:
-        return 0.5 * np.exp(-qg)
     return 0.5 * gammaincc(mod.p, qg)
 
 

@@ -113,8 +113,10 @@ def fixed_gain(hop1: HopChannel) -> float:
 
 def fixed_gain_numeric(hop1: HopChannel) -> float:
     """Quadrature fallback for the AF gain, any real parameters: the
-    oracle's trapezoidal rule over y = e^u on hop 1's density window."""
-    lo, hi = _density_window(hop1)
+    oracle's trapezoidal rule over y = e^u on hop 1's density window.
+    The mean E[1/(1+g)] is at least 1/(1 + gamma_bar) (Jensen), so the
+    window drops a mass under e^{-40} of it."""
+    lo, hi = _density_window(hop1, 40.0 + math.log1p(hop1.gamma_bar))
     mean = _trapezoid(lambda y: snr_pdf(hop1, y) / (1.0 + y), lo, hi,
                       _step(hop1))
     return 1.0 / mean
@@ -361,11 +363,19 @@ def cdf_numeric(link: RelayLink, x: float) -> float:
     integral over u summed by the trapezoidal rule, whose error falls off
     exponentially in 1/h for these analytic integrands.  With lam_j the
     slowest decay rate min_i c_i/S_j of hop j's density, the window in u
-    ends at ln(800/lam_2), where hop 2's density has decayed by e^{-800},
-    and starts at ln S_2 - 40/xi_2^2, below which its mass is under
-    e^{-40}; for CSI-assisted links, with z = x (x + q), it also starts
-    no lower than ln(lam_1 z/800), below which hop 1's CCDF at z/y is
-    under e^{-800}.  The step is 0.2, or 0.6 of the narrowest peak width
+    ends at ln(800/lam_2), where hop 2's density has decayed by e^{-800}.
+    Where it starts depends on the protocol:
+
+    * fixed gain: at ln(S_2/max_i c_i) - 40/m, m = min(xi_2^2, min_i b_i).
+      Near 0 the density of a component goes like y^{min(xi^2, b_i) - 1}
+      on the scale S/c_i, so hop 2's mass below the edge is under about
+      e^{-40}; the integrand there is about that density.
+    * CSI-assisted, with z = x (x + q): at the larger of ln x - 40 and
+      ln(lam_1 z/800).  Below y = x e^{-40} hop 2's density at x + y is
+      flat, so the part cut off is about e^{-40} x pdf_2(x); below
+      y = lam_1 z/800 hop 1's CCDF at z/y is under e^{-800}.
+
+    The step is 0.2, or 0.6 of the narrowest peak width
     1/sqrt(max b_i) over both hops' mixture shapes if smaller.  The
     per-hop statistics come through the incomplete-Gamma (non-reduced)
     routes, so this path shares no algebra with the closed-form sums.
@@ -384,10 +394,15 @@ def _slowest_rate(hop: HopChannel) -> float:
     return min(c for _, _, c in hop.mg.terms) / hop.kernel_scale
 
 
-def _density_window(hop: HopChannel) -> tuple[float, float]:
+def _density_window(hop: HopChannel,
+                    depth: float = 40.0) -> tuple[float, float]:
     """u-range of y = e^u outside which the hop's density has mass below
-    e^{-40} (small y) resp. decays below e^{-800} (large y)."""
-    return (math.log(hop.kernel_scale) - 40.0 / hop.pointing.xi_sq,
+    about e^{-depth} (small y) resp. decays below e^{-800} (large y).
+    Near 0 component i's density goes like y^{min(xi^2, b_i) - 1} on the
+    scale S/c_i, hence the lower edge's rate and exponent."""
+    _, b, c = zip(*hop.mg.terms)
+    m = min(hop.pointing.xi_sq, min(b))
+    return (math.log(hop.kernel_scale / max(c)) - depth / m,
             math.log(800.0 / _slowest_rate(hop)))
 
 
@@ -420,7 +435,8 @@ def _oracle_cdf(link: RelayLink, gain: float | None, x: float) -> float:
     if isinstance(link.protocol, CsiAf):
         # ln z of z = x (x + q), formed so that huge x cannot overflow
         log_z = math.log(x) + math.log(x + link.protocol.q)
-        lo = max(lo, math.log(_slowest_rate(h1)) + log_z - math.log(800.0))
+        lo = max(math.log(x) - 40.0,
+                 math.log(_slowest_rate(h1)) + log_z - math.log(800.0))
         if lo >= hi:
             return 1.0
         val = _trapezoid(

@@ -8,7 +8,9 @@ not provide are implemented here: the logarithm of the confluent U by
 the trapezoidal rule on its integral (scipy's hyperu is non-finite or
 inaccurate at some arguments the fixed-gain ABER needs), and the upper
 incomplete Gamma with non-positive first argument, elementwise on arrays
-of x for the quadrature oracle, and its exponentially-scaled variant.
+of x for the quadrature oracle, its exponentially-scaled variant, and on
+arrays x^{-a} Gamma(a, x), which stays finite where Gamma(a, x)
+overflows at small x.
 Small arguments use the finite downward recurrence
 
     Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a
@@ -112,22 +114,40 @@ def upper_inc_gamma(a: float, x):
         raise ValueError(f"upper_inc_gamma needs x > 0, got {x.min()}")
     if a > 0.0:
         return sp.gammaincc(a, x) * sp.gamma(a)
-    flat = x.ravel()
+    # numpy's power is not elementwise-reproducible (its SIMD lanes and
+    # its scalar tail round differently); exp and log are
+    return np.exp(a * np.log(x)) * _power_scaled_gamma(a, x)
+
+
+def _power_scaled_gamma(a: float, x: np.ndarray) -> np.ndarray:
+    """x^{-a} Gamma(a, x) for a <= 0, elementwise on an array of x > 0.
+
+    Tends to 1/(-a) as x -> 0 (grows like -ln x for a = 0), so it stays
+    finite where Gamma(a, x) overflows.  Continued fraction where x >= 2;
+    below that the downward recurrence scaled by x^{-order},
+
+        x^{-s} Gamma(s, x) = (x * x^{-(s+1)} Gamma(s+1, x) - e^{-x}) / s,
+
+    whose steps depend only on a.
+    """
+    flat = np.asarray(x, dtype=float).ravel()
     out = np.empty_like(flat)
     cf = flat >= _CF_MIN_X
     x_cf = flat[cf]
-    out[cf] = np.exp(-x_cf + a * np.log(x_cf)) * _gamma_cf_array(a, x_cf)
+    out[cf] = np.exp(-x_cf) * _gamma_cf_array(a, x_cf)
     x_rec = flat[~cf]
     order = a - math.floor(a)
     if order == 0.0:
         g = sp.exp1(x_rec)
     else:
-        g = sp.gammaincc(order, x_rec) * sp.gamma(order)
+        g = (np.exp(-order * np.log(x_rec))
+             * sp.gammaincc(order, x_rec) * sp.gamma(order))
+    decay = np.exp(-x_rec)
     while order > a + 0.5:
         order -= 1.0
-        g = (g - x_rec ** order * np.exp(-x_rec)) / order
+        g = (x_rec * g - decay) / order
     out[~cf] = g
-    return out.reshape(x.shape)
+    return out.reshape(np.shape(x))
 
 
 def _upper_inc_gamma_scalar(a: float, x: float) -> float:

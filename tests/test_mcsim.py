@@ -168,17 +168,16 @@ class TestEstimateAber:
         assert est.ci95[0] - 1e-4 <= fr.aber_fixed(link, fr.BPSK) \
             <= est.ci95[1] + 1e-4
 
-    @pytest.mark.parametrize("mod", [fr.BPSK, fr.DPSK, fr.Modulation(0.5, 2.0),
-                                     fr.Modulation(1.0, 0.5)])
-    def test_closed_kernels_match_incomplete_gamma(self, mod):
+    @pytest.mark.parametrize("mod", [fr.BPSK, fr.Modulation(0.5, 2.0)])
+    def test_erfc_kernel_matches_incomplete_gamma(self, mod):
         g = np.geomspace(1e-8, 700.0, 400)
         np.testing.assert_allclose(_conditional_ber(mod, g),
                                    0.5 * gammaincc(mod.p, mod.q * g),
                                    rtol=1e-12, atol=0.0)
 
     def test_other_orders_use_incomplete_gamma(self, monkeypatch):
-        """P = 1/2 and 1 have closed kernels; P = 3/2 takes scipy's
-        regularized incomplete Gamma, with the same stream invariance."""
+        """P = 1/2 goes through erfc; P = 3/2 takes scipy's regularized
+        incomplete Gamma, with the same stream invariance."""
         calls = []
 
         def counted(p, x):
@@ -188,8 +187,7 @@ class TestEstimateAber:
         monkeypatch.setattr(mcsim, "gammaincc", counted)
         hop = unit_hop()
         link = fr.RelayLink(hop, hop, fr.Df())
-        for mod in (fr.BPSK, fr.DPSK):
-            fr.estimate_aber(link, mod, fr.McConfig(samples=100_000, seed=22))
+        fr.estimate_aber(link, fr.BPSK, fr.McConfig(samples=100_000, seed=22))
         assert calls == []
         mod = fr.Modulation(1.5, 1.0)
         ests = [fr.estimate_aber(link, mod, fr.McConfig(samples=300_000,

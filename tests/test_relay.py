@@ -231,6 +231,56 @@ class TestNumericOracle:
             assert abs(fr.cdf_numeric(link, x) - closed) \
                 <= min(1e-12, 1e-9 * closed)
 
+    @pytest.mark.parametrize("params", [(4, 2, 3), (4, 2, 6), (4.2, 1.4, 6.7)])
+    def test_window_when_pointing_dominates(self, params, monkeypatch):
+        """xi^2 > b: near 0 the density goes like y^{b-1}, not y^{xi^2-1},
+        so the window must reach further down than xi^2 alone suggests.
+        A window 20 wider in u moves neither the fixed-gain CDF (by
+        1e-12) nor the numeric gain (by 1e-12 relative)."""
+        links = [fr.RelayLink(h, h, fr.FixedAf())
+                 for h in (make_hop(*params, 20.0), make_hop(*params, 80.0))]
+        xs = (0.01, 1.0, 10.0, 100.0)
+        values = [fr.cdf_numeric(links[0], x) for x in xs]
+        gains = [relay.fixed_gain_numeric(link.hop1) for link in links]
+        window = relay._density_window
+
+        def wide(hop, depth=40.0):
+            lo, hi = window(hop, depth)
+            return lo - 20.0, hi + 5.0
+
+        monkeypatch.setattr(relay, "_density_window", wide)
+        for x, val in zip(xs, values):
+            assert abs(val - fr.cdf_numeric(links[0], x)) <= 1e-12
+        for link, gain in zip(links, gains):
+            assert gain == pytest.approx(relay.fixed_gain_numeric(link.hop1),
+                                         rel=1e-12, abs=0.0)
+
+    def test_gain_where_incomplete_gamma_overflows(self, monkeypatch):
+        """(2.1, 0.6, 6.7) at 120 dB: at the window's lower edge
+        Gamma(b - xi^2, t) = Gamma(-6.1, t) is about e^{720}, past the
+        float range, while the density there is tiny.  The gain is finite
+        and a window 20 wider in u moves it by under 1e-12 relative."""
+        hop = make_hop(2.1, 0.6, 6.7, 120.0)
+        gain = relay.fixed_gain_numeric(hop)
+        assert 0.0 < gain < math.inf
+        window = relay._density_window
+        monkeypatch.setattr(relay, "_density_window",
+                            lambda hop, depth=40.0: (window(hop, depth)[0] - 20.0,
+                                                     window(hop, depth)[1]))
+        assert gain == pytest.approx(relay.fixed_gain_numeric(hop),
+                                     rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("proto", [fr.CsiAf(0), fr.CsiAf(1)])
+    @pytest.mark.parametrize("params", [(8, 6, 3), (8, 6, 5)])
+    def test_csi_window_with_strong_first_hop(self, proto, params):
+        """Hop 1 at 60 dB, hop 2 at 0 dB: hop 1's CCDF at z/y stays near 1
+        far below hop 2's scale, so the CSI integrand there is hop 2's
+        density at x + y, whose mass near y = 0 does not vanish."""
+        link = fr.RelayLink(make_hop(4, 2, 1, 60.0), make_hop(*params, 0.0),
+                            proto)
+        for x in (1e-6, 1e-2, 1.0, 10.0):
+            assert abs(fr.cdf_numeric(link, x) - fr.cdf(link, x)) <= 1e-13
+
 
 def _termwise_tail(link, x):
     """Tail sum of the AF CDFs with one term per kernel index tuple, as

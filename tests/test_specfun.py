@@ -14,7 +14,7 @@ from scipy import special
 from scipy.integrate import quad
 
 import fso_relay as fr
-from fso_relay.specfun import _log_hyperu
+from fso_relay.specfun import _log_hyperu, _power_scaled_gamma
 
 from helpers import make_hop
 
@@ -100,6 +100,18 @@ class TestUpperIncGamma:
         grid = fr.upper_inc_gamma(a, x[::-1].reshape(8, 10))
         assert grid.ravel().tolist() == vals[::-1].tolist()
         assert fr.upper_inc_gamma(a, x[5:6])[0] == vals[5]
+
+    @pytest.mark.parametrize("a", [-6.1, -2.5, -1.0, 0.0])
+    def test_power_scaled_where_gamma_overflows(self, a):
+        """x^{-a} Gamma(a, x) stays finite down to x = 1e-300, where
+        Gamma(a, x) itself is far beyond the float range for a < 0."""
+        mpmath = pytest.importorskip("mpmath")
+        x = np.array([1e-300, 1e-120, 1e-10, 0.5, 1.9, 2.1, 50.0])
+        vals = _power_scaled_gamma(a, x)
+        with mpmath.workdps(40):
+            ref = [float(mpmath.mpf(v) ** -a * mpmath.gammainc(a, v))
+                   for v in x]
+        np.testing.assert_allclose(vals, ref, rtol=1e-13, atol=0.0)
 
 
 class TestScaledUpperIncGamma:
