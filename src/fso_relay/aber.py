@@ -3,7 +3,8 @@
 ABER = Q^P / (2 Gamma(P)) * int_0^inf z^{P-1} e^{-Qz} F(z) dz, where F is
 the end-to-end SNR CDF and (P, Q) the modulation kernel -- (1/2, 1) for
 coherent BPSK.  The generic evaluator integrates that kernel against any
-CDF callable; the three protocol-specific closed forms carry out the
+array CDF by the oracle's trapezoidal rule in v = ln z (see
+aber_from_cdf); the three protocol-specific closed forms carry out the
 integral symbolically term by term and are valid under the same integer
 conditions as the CDF sums (exact kernels on both hops).
 
@@ -14,26 +15,31 @@ and the DF ABER pairs the terms of the two hop tails.  The special
 functions are evaluated once per distinct argument tuple and gathered
 back onto the terms.
 
-The exact CSI-assisted case (q=1) has no closed ABER; it is served by
-the quadrature evaluator over its closed-form CDF.
+The exact CSI-assisted case (q=1) and the bound route have no closed
+ABER; the evaluator serves them over the plan's CDF, on the bound route
+split where the clamped bound reaches 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln
+from scipy.special import gammaincc, gammaln
 
 from .errors import IntegerConditionError
 from .relay import (CsiAf, Df, FixedAf, LinkPlan, RelayLink, TermTable,
-                    _oracle_cdf, _oracle_gain)
+                    _oracle_cdf, _oracle_gain, _step, _trapezoid)
 from .specfun import _log_hyperu, gauss_2f1
 
 _BER_FLOOR = 1e-300
 _LN2 = math.log(2.0)
+# the ABER rule's window in z: e^{-Qz} < e^{-800} above 800/Q, and below
+# e^{-350} the CSI CDF's z^2 would leave the normal floats
+_Z_TOP = 800.0
+_LOG_Z_MIN = -350.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,23 +61,50 @@ DPSK = Modulation(1.0, 1.0)
 
 
 def aber_from_cdf(cdf_fn, mod: Modulation) -> float:
-    """Kernel quadrature of the ABER definition over an arbitrary CDF.
+    """Kernel quadrature of the ABER definition over an arbitrary CDF;
+    cdf_fn takes 1-D arrays of z, and a scalar return broadcasts.  The
+    rule is _kernel_rule's with step 0.2 and no corner."""
+    return _kernel_rule(cdf_fn, mod, 0.2, None)
 
-    The substitution z = t^2 removes the z^{P-1} endpoint singularity
-    for P < 1 (BPSK).
-    """
+
+def _kernel_rule(cdf_fn, mod: Modulation, h: float,
+                 kink: float | None) -> float:
+    """aber_from_cdf at trapezoid step h.  Above z_top, the kink where F
+    reaches 1 with a corner (the bound route's clamp) or else 800/Q, F = 1
+    integrates to Gamma(P, Q z_top) / (2 Gamma(P)).  Below it
+    z = z_top y / (1 + y), and relay's trapezoidal rule in ln y (step h, at
+    most 0.6/sqrt(P)) walks down from about y = 1, or y = e^40 past a
+    kink's corner, until F(z) z^P / P, which bounds the rest as F is
+    non-decreasing, is under 1e-16 of the sum."""
     p, q = mod.p, mod.q
-    pref = math.exp(p * math.log(q) - gammaln(p))
+    h = min(h, 0.6 / math.sqrt(p))
+    top = _Z_TOP / q if kink is None else kink
 
-    def integrand(t: float) -> float:
-        if t <= 0.0:   # open quadrature rules never probe the endpoint
-            return 0.0
-        z = t * t
-        return math.exp((2.0 * p - 1.0) * math.log(t) - q * z) * cdf_fn(z)
+    def integrand(y):   # z^{P-1} e^{-Qz} F(z) dz/dy
+        z = top * y / (1.0 + y)
+        return (np.exp((p - 1.0) * np.log(z) - q * z) * cdf_fn(z)
+                * top / np.square(1.0 + y))
 
-    val, _ = quad(integrand, 0.0, np.inf, epsabs=1e-11, epsrel=1e-10,
-                  limit=400)
-    return pref * val
+    val = _trapezoid(
+        integrand, _LOG_Z_MIN - math.log(top), 0.0 if kink is None else 40.0,
+        h, lambda y, s: s * (1.0 + y) * math.exp(q * top * y / (1.0 + y)) / p)
+    return math.exp(_log_pref(mod)) * val + 0.5 * float(gammaincc(p, q * top))
+
+
+def _plan_quadrature(plan: LinkPlan, mod: Modulation) -> float:
+    """_kernel_rule over the plan's CDF.  On the bound route the clamped
+    CDF reaches 1 with a corner, the kink, found by bisection in ln z to
+    1e-9 (the bound is monotone) unless it lies above z = 400/Q, where the
+    walk without a kink starts and the kernel has decayed by e^{-400}."""
+    lo, hi = _LOG_Z_MIN, math.log(0.5 * _Z_TOP / mod.q)
+    kink = None
+    if plan.mode == "bound" and plan.cdf(math.exp(hi)) >= 1.0:
+        while hi - lo > 1e-9:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if plan.cdf(math.exp(mid)) < 1.0 else (lo, mid)
+        kink = math.exp(lo)
+    link = plan.link
+    return _kernel_rule(plan.cdf, mod, _step(link.hop1, link.hop2), kink)
 
 
 def aber_quadrature(link: RelayLink, mod: Modulation,
@@ -84,11 +117,11 @@ def aber_quadrature(link: RelayLink, mod: Modulation,
     the quadrature CDF of cdf_numeric.
     """
     if basis == "numeric":
-        gain = _oracle_gain(link)
-        return aber_from_cdf(lambda z: _oracle_cdf(link, gain, z), mod)
+        return _kernel_rule(partial(_oracle_cdf, link, _oracle_gain(link)),
+                            mod, _step(link.hop1, link.hop2), None)
     if basis != "auto":
         raise ValueError(f"unknown basis {basis!r}")
-    return aber_from_cdf(LinkPlan(link).cdf, mod)
+    return _plan_quadrature(LinkPlan(link), mod)
 
 
 def _exact_plan(link: RelayLink) -> LinkPlan:
@@ -208,7 +241,7 @@ def plan_aber(plan: LinkPlan, mod: Modulation) -> float:
             return _aber_fixed_closed(plan.table, mod)
         if proto.q == 0:
             return _aber_csi_closed(plan.table, mod)
-    return aber_from_cdf(plan.cdf, mod)
+    return _plan_quadrature(plan, mod)
 
 
 def aber(link: RelayLink, mod: Modulation) -> float:

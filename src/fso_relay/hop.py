@@ -22,6 +22,8 @@ Three per-hop densities are provided:
 The reduced/bound decomposition is packaged as an SnrKernel so that the
 relay and ABER layers can treat both regimes uniformly; kernels in the
 bound regime carry total mass > 1 and the consumers correct for it.
+The densities and tails are elementwise on arrays of x; a kernel sum is
+reduced with fsum per x, so a value does not depend on the other x.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from scipy.special import gammaln
 
 from .errors import IntegerConditionError
 from .mgfit import GammaGammaParams, MixtureGamma, mg_mean
-from .specfun import _power_scaled_gamma, upper_inc_gamma
+from .specfun import _elementwise, _power_scaled_gamma, upper_inc_gamma
 
 _INT_TOL = 1e-9
 
@@ -144,11 +146,16 @@ class SnrKernel:
     log_coef: tuple[float, ...]
     power: tuple[int, ...]
     rate: tuple[float, ...]
-    mass: float
     mode: str  # "exact" or "bound"
 
     def __len__(self) -> int:
         return len(self.power)
+
+    @cached_property
+    def mass(self) -> float:
+        m = np.asarray(self.power, dtype=float)
+        return math.fsum(np.exp(np.asarray(self.log_coef) + gammaln(m)
+                                - m * np.log(self.rate)).tolist())
 
     @cached_property
     def ccdf_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,10 +168,6 @@ class SnrKernel:
         log_coef = (np.asarray(self.log_coef)[t] + gammaln(m)
                     - gammaln(r + 1.0) - (m - r) * np.log(rate))
         return log_coef, r, rate
-
-
-def _term_mass(log_coef: float, m: int, rate: float) -> float:
-    return math.exp(log_coef + gammaln(m) - m * math.log(rate))
 
 
 def reduced_kernel(hop: HopChannel) -> SnrKernel:
@@ -182,9 +185,7 @@ def reduced_kernel(hop: HopChannel) -> SnrKernel:
             log_coef.append(_log_xi_coeff(a, b, c, xi2, k, scale))
             power.append(xi2 + k)
             rate.append(lam)
-    mass = math.fsum(_term_mass(lc, m, lam)
-                     for lc, m, lam in zip(log_coef, power, rate))
-    return SnrKernel(tuple(log_coef), tuple(power), tuple(rate), mass, "exact")
+    return SnrKernel(tuple(log_coef), tuple(power), tuple(rate), "exact")
 
 
 def bound_kernel(hop: HopChannel) -> SnrKernel:
@@ -212,9 +213,7 @@ def bound_kernel(hop: HopChannel) -> SnrKernel:
                         - (b_int - 1.0) * math.log(scale))
         power.append(b_int - 1)
         rate.append(c / scale)
-    mass = math.fsum(_term_mass(lc, m, lam)
-                     for lc, m, lam in zip(log_coef, power, rate))
-    return SnrKernel(tuple(log_coef), tuple(power), tuple(rate), mass, "bound")
+    return SnrKernel(tuple(log_coef), tuple(power), tuple(rate), "bound")
 
 
 def auto_kernel(hop: HopChannel) -> SnrKernel:
@@ -251,60 +250,66 @@ def _upper_gamma_rows(shape: np.ndarray, shift: float, y: np.ndarray,
     return out
 
 
+@_elementwise
 def snr_pdf(hop: HopChannel, x):
     """Exact SNR PDF, valid for any real fading/pointing parameters;
     elementwise on an array of x."""
-    x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError(f"snr_pdf needs x > 0, got {x.min()}")
     scale = hop.kernel_scale
     xi2 = hop.pointing.xi_sq
     a, b, c = _mixture_columns(hop)
-    flat = x.ravel()
     # component i is a_i xi2 c_i^{1-b_i} / S * t^{xi2-1} Gamma(b_i - xi2, t)
     # with t = c_i x / S
     lead = np.exp(np.log(a) + (1.0 - b) * np.log(c) + math.log(xi2 / scale))
     # a running sum over the terms keeps each x's value independent of
     # the other x (numpy's sum blocks a single column pairwise)
-    total = np.cumsum(lead * _upper_gamma_rows(b, xi2, c * flat / scale,
-                                               xi2 - 1.0), axis=0)[-1]
-    return total.reshape(x.shape) if x.ndim else float(total[0])
+    return np.cumsum(lead * _upper_gamma_rows(b, xi2, c * x / scale,
+                                              xi2 - 1.0), axis=0)[-1]
 
 
-def snr_pdf_reduced(hop: HopChannel, x: float) -> float:
+def _gamma_sum(log_coef, power, rate, x: np.ndarray) -> np.ndarray:
+    """sum_t exp(log_coef_t) x^power_t e^{-rate_t x} at each x > 0 of a
+    1-D array, each x's terms reduced with fsum, so that its value does not
+    depend on the other x."""
+    col = x[:, None]
+    terms = np.exp(log_coef + power * np.log(col) - rate * col)
+    return np.array([math.fsum(row) for row in terms.tolist()])
+
+
+@_elementwise
+def snr_pdf_reduced(hop: HopChannel, x):
     """Reduced (finite Gamma sum) SNR PDF; equals snr_pdf exactly under
-    the integer conditions."""
-    if x <= 0.0:
-        raise ValueError(f"snr_pdf_reduced needs x > 0, got {x}")
+    the integer conditions.  Elementwise on an array of x."""
+    if np.any(x <= 0.0):
+        raise ValueError(f"snr_pdf_reduced needs x > 0, got {x.min()}")
     kern = reduced_kernel(hop)
-    return _kernel_pdf(kern, x)
+    return _gamma_sum(kern.log_coef, np.subtract(kern.power, 1.0), kern.rate,
+                      x)
 
 
-def _kernel_pdf(kern: SnrKernel, x: float) -> float:
-    return math.fsum(
-        math.exp(lc + (m - 1.0) * math.log(x) - lam * x)
-        for lc, m, lam in zip(kern.log_coef, kern.power, kern.rate))
-
-
-def kernel_ccdf(kern: SnrKernel, x: float) -> float:
-    """Tail integral of the kernel density from x to infinity.
+@_elementwise
+def kernel_ccdf(kern: SnrKernel, x):
+    """Tail integral of the kernel density from x to infinity, elementwise
+    on an array of x.
 
     For an exact kernel this is the SNR CCDF; for a bound kernel it is
     the (mass > 1) upper tail envelope.
     """
-    if x < 0.0:
-        raise ValueError(f"kernel_ccdf needs x >= 0, got {x}")
-    if x == 0.0:
-        return kern.mass
-    log_coef, r, rate = kern.ccdf_terms
-    return math.fsum(np.exp(log_coef + r * math.log(x) - rate * x).tolist())
+    if np.any(x < 0.0):
+        raise ValueError(f"kernel_ccdf needs x >= 0, got {x.min()}")
+    total = np.full(x.shape, kern.mass)
+    total[x > 0.0] = _gamma_sum(*kern.ccdf_terms, x[x > 0.0])
+    return total
 
 
-def snr_ccdf(hop: HopChannel, x: float) -> float:
-    """SNR CCDF under the integer conditions (triple finite sum)."""
+def snr_ccdf(hop: HopChannel, x):
+    """SNR CCDF under the integer conditions (triple finite sum),
+    elementwise on an array of x."""
     return kernel_ccdf(reduced_kernel(hop), x)
 
 
+@_elementwise
 def snr_ccdf_general(hop: HopChannel, x):
     """SNR CCDF for any real parameters, via one integration by parts of
     the incomplete-Gamma PDF:
@@ -316,18 +321,15 @@ def snr_ccdf_general(hop: HopChannel, x):
     component nearly cancel in the tail, so each component's difference is
     formed before the components are summed.  Independent of the reduced
     triple-sum path; used by the quadrature oracles."""
-    x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError(f"snr_ccdf_general needs x >= 0, got {x.min()}")
     xi2 = hop.pointing.xi_sq
     a, b, c = _mixture_columns(hop)
-    flat = x.ravel()
-    lam_x = c * flat / hop.kernel_scale
+    lam_x = c * x / hop.kernel_scale
     # beyond lam x = 700 a component's tail mass is below 1e-300
     live = (lam_x > 0.0) & (lam_x <= 700.0)
     y = np.where(live, lam_x, 700.0)
     part = _upper_gamma_rows(b, 0.0, y) - _upper_gamma_rows(b, xi2, y, xi2)
     total = np.cumsum(np.where(live, np.exp(np.log(a) - b * np.log(c)) * part,
                                0.0), axis=0)[-1]
-    total = np.where(flat == 0.0, 1.0, np.clip(total, 0.0, 1.0))
-    return total.reshape(x.shape) if x.ndim else float(total[0])
+    return np.where(x == 0.0, 1.0, np.clip(total, 0.0, 1.0))

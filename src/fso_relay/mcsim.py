@@ -174,5 +174,6 @@ def estimate_aber(link: RelayLink, mod: Modulation,
     std_err = math.sqrt(var / n)
     degenerate = var == 0.0
     return Estimate(value=mean, std_err=std_err,
-                    ci95=(mean - 1.96 * std_err, mean + 1.96 * std_err),
+                    ci95=(max(0.0, mean - 1.96 * std_err),
+                          mean + 1.96 * std_err),
                     degenerate=degenerate)

@@ -14,20 +14,21 @@ kernels' integer powers and is shared between links; only its
 rate-dependent columns are computed per link.  At build time the terms
 that share (z-power, x-power, Bessel order, rate, Bessel scale) are
 merged, since their x-dependence is identical, and the Bessel factor is
-then evaluated once per distinct (order, scale) at each x.  Each sum is
-assembled in log space (every term is positive and no term can exceed
-the total, which is a probability) and reduced with compensated
-summation, because terms mix magnitudes across many orders once the
-average SNRs are large.
+then evaluated once per distinct (order, scale) at each x of an array.
+Each x's sum is assembled in log space (every term is positive and no
+term can exceed the total, which is a probability) and reduced with
+compensated summation, because terms mix magnitudes across many orders
+once the average SNRs are large.
 
 cdf, outage and link_mode evaluate a link through its LinkPlan; cdf
 needs the kernel sums, outage falls back to quadrature.  cdf_numeric is
 the quadrature oracle, valid for any real parameters: the defining
 single integral over the other hop's density, substituted y = e^u and
-summed by one trapezoidal rule on an array of u nodes (window and step
-in cdf_numeric), over the incomplete-Gamma per-hop statistics.  It and
-the Monte Carlo oracle take the fixed gain from the link's LinkPlan;
-fixed_gain_numeric integrates the gain with the same rule.
+summed by the package's one trapezoidal rule, _trapezoid, on an array
+of u nodes (window and step in cdf_numeric), over the incomplete-Gamma
+per-hop statistics.  It and the Monte Carlo oracle take the fixed gain
+from the link's LinkPlan; fixed_gain_numeric integrates the gain, and
+the ABER evaluator its kernel, with the same rule.
 
 When a hop is in the upper-bound regime its kernel mass N exceeds 1 and
 the plain tail sums would produce a LOWER bound on outage.  The
@@ -53,9 +54,13 @@ from scipy.special import gammaln
 from .errors import IntegerConditionError
 from .hop import (HopChannel, SnrKernel, auto_kernel, kernel_ccdf,
                   snr_ccdf_general, snr_pdf)
-from .specfun import log_bessel_k, scaled_upper_inc_gamma
+from .specfun import _elementwise, log_bessel_k, scaled_upper_inc_gamma
 
 _LN2 = math.log(2.0)
+# elements of the (x, term) grids of TermTable.tail, about 2 MB each
+_GRID_SIZE = 1 << 18
+# nodes per call of fn in the walking trapezoidal rule
+_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -98,12 +103,13 @@ class RelayLink:
 def _gain_from_kernel(kern: SnrKernel) -> float:
     # U = 1 / E[1/(1+g)]; each expectation term is
     # C Gamma(m) e^lam Gamma(1-m, lam), evaluated in scaled form since
-    # lam = c/S blows up at low SNR.
-    total = math.fsum(
-        math.exp(lc + gammaln(m)
-                 + math.log(scaled_upper_inc_gamma(1.0 - m, lam)))
-        for lc, m, lam in zip(kern.log_coef, kern.power, kern.rate))
-    return 1.0 / total
+    # lam = c/S blows up at low SNR; one call per distinct power m.
+    m, lam = np.asarray(kern.power, dtype=float), np.asarray(kern.rate)
+    scaled = np.empty_like(lam)
+    for power in np.unique(m):
+        scaled[m == power] = scaled_upper_inc_gamma(1.0 - power, lam[m == power])
+    return 1.0 / math.fsum(np.exp(np.asarray(kern.log_coef) + gammaln(m)
+                                  + np.log(scaled)).tolist())
 
 
 def fixed_gain(hop1: HopChannel) -> float:
@@ -241,11 +247,21 @@ class TermTable:
         return cls(top + np.log(total), ez, ex, nu, rate, big_r,
                    pairs[:, 0], pairs[:, 1], k_idx.reshape(-1))
 
-    def tail(self, x: float, z: float) -> float:
-        log_k = log_bessel_k(self.k_nu, 2.0 * np.sqrt(self.k_r * z))
-        logs = (self.log_coef + self.ez * math.log(z) + self.ex * math.log(x)
-                - self.rate * x + log_k[self.k_idx])
-        return math.fsum(np.exp(logs).tolist())
+    def tail(self, x, z):
+        """S at each x, with z = z(x) of the same shape, for a few x at a
+        time so that the (x, term) grids stay near _GRID_SIZE elements."""
+        x, z = np.asarray(x, dtype=float), np.asarray(z, dtype=float)
+        xs, zs = x.reshape(-1, 1), z.reshape(-1, 1)
+        rows = max(1, _GRID_SIZE // len(self.log_coef))
+        out = []
+        for r in range(0, len(xs), rows):
+            x_r, z_r = xs[r:r + rows], zs[r:r + rows]
+            logs = (self.log_coef + self.ez * np.log(z_r)
+                    + self.ex * np.log(x_r) - self.rate * x_r
+                    + log_bessel_k(self.k_nu, 2.0 * np.sqrt(self.k_r * z_r))
+                    [:, self.k_idx])
+            out += [math.fsum(row) for row in np.exp(logs).tolist()]
+        return np.reshape(out, x.shape) if x.ndim else out[0]
 
 
 class LinkPlan:
@@ -308,28 +324,30 @@ class LinkPlan:
                                     math.log(self.gain))
         raise ValueError("decode-and-forward links have no term table")
 
-    def cdf(self, x: float) -> float:
-        """End-to-end SNR CDF: the kernel sums (an upper bound on the
-        bound route), quadrature on the numeric route."""
-        if x < 0.0:
-            raise ValueError(f"cdf needs x >= 0, got {x}")
-        if x == 0.0:
-            return 0.0
+    @_elementwise
+    def cdf(self, x):
+        """End-to-end SNR CDF, elementwise on an array of x: the kernel
+        sums (an upper bound on the bound route), quadrature on the
+        numeric route."""
         if self.kernels is None:
             return _oracle_cdf(self.link, self.gain, x)
-        k1, k2 = self.kernels
-        proto = self.link.protocol
+        if np.any(x < 0.0):
+            raise ValueError(f"cdf needs x >= 0, got {x.min()}")
+        (k1, k2), proto = self.kernels, self.link.protocol
+        xp = x[x > 0.0]
         if isinstance(proto, CsiAf):
-            val = (k2.mass + (k1.mass - 1.0) * kernel_ccdf(k2, x)
-                   - self.table.tail(x, x * x + proto.q * x))
+            val = (k2.mass + (k1.mass - 1.0) * kernel_ccdf(k2, xp)
+                   - self.table.tail(xp, xp * xp + proto.q * xp))
         elif isinstance(proto, FixedAf):
-            val = k1.mass * k2.mass - self.table.tail(x, x)
+            val = k1.mass * k2.mass - self.table.tail(xp, xp)
         else:
-            acc = 1.0
+            acc = np.ones_like(xp)
             for kern in self.kernels:
-                acc *= max(0.0, kernel_ccdf(kern, x) - (kern.mass - 1.0))
+                acc *= np.maximum(0.0, kernel_ccdf(kern, xp) - (kern.mass - 1.0))
             val = 1.0 - acc
-        return _clamp01(val)
+        out = np.zeros(x.shape)
+        out[x > 0.0] = np.clip(val, 0.0, 1.0)
+        return out
 
     def outage(self, gamma_th: float) -> float:
         """Outage probability P[end-to-end SNR < gamma_th]."""
@@ -341,10 +359,6 @@ class LinkPlan:
 def link_mode(link: RelayLink) -> str:
     """Which CDF route the link supports: 'closed', 'bound' or 'numeric'."""
     return LinkPlan(link).mode
-
-
-def _clamp01(v: float) -> float:
-    return min(1.0, max(0.0, v))
 
 
 def cdf(link: RelayLink, x: float) -> float:
@@ -397,9 +411,7 @@ def _slowest_rate(hop: HopChannel) -> float:
 def _density_window(hop: HopChannel,
                     depth: float = 40.0) -> tuple[float, float]:
     """u-range of y = e^u outside which the hop's density has mass below
-    about e^{-depth} (small y) resp. decays below e^{-800} (large y).
-    Near 0 component i's density goes like y^{min(xi^2, b_i) - 1} on the
-    scale S/c_i, hence the lower edge's rate and exponent."""
+    about e^{-depth} resp. decays below e^{-800}; see cdf_numeric."""
     _, b, c = zip(*hop.mg.terms)
     m = min(hop.pointing.xi_sq, min(b))
     return (math.log(hop.kernel_scale / max(c)) - depth / m,
@@ -412,41 +424,56 @@ def _step(*hops: HopChannel) -> float:
     return min(0.2, 0.6 / math.sqrt(b_max))
 
 
-def _trapezoid(fn, lo: float, hi: float, h: float) -> float:
+def _trapezoid(fn, lo: float, hi: float, h: float, rest=None) -> float:
     """int fn(y) dy over y = e^u, u in [lo, hi], by the trapezoidal rule
-    with step h; fn takes the array of nodes y and must be negligible at
-    both ends."""
-    y = np.exp(lo + h * np.arange(math.ceil((hi - lo) / h) + 1))
-    return h * float(np.sum(fn(y) * y))
+    on the nodes u = lo + k h; fn takes an array of nodes y and must be
+    negligible at both ends.
+
+    With rest, the nodes are taken from the top down, _CHUNK at a time,
+    until rest(y, s), a bound on the integral below the lowest node y with
+    summand s = y fn(y), is under 1e-16 of the sum; lo only caps it.
+    """
+    u = lo + h * np.arange(math.ceil((hi - lo) / h) + 1)
+    chunks = ([u] if rest is None
+              else np.split(u[::-1], range(_CHUNK, len(u), _CHUNK)))
+    total = 0.0
+    for y in map(np.exp, chunks):
+        s = fn(y) * y
+        total += float(np.sum(s))
+        if rest is not None and rest(y[-1], s[-1]) < 1e-16 * h * total:
+            break
+    return h * total
 
 
-def _oracle_cdf(link: RelayLink, gain: float | None, x: float) -> float:
-    """cdf_numeric with the fixed gain resolved by the caller, so that
-    callers evaluating many x resolve it once."""
-    if x < 0.0:
-        raise ValueError(f"cdf needs x >= 0, got {x}")
-    if x == 0.0:
-        return 0.0
+@_elementwise
+def _oracle_cdf(link: RelayLink, gain: float | None, x):
+    """cdf_numeric elementwise on an array of x, with the fixed gain
+    resolved by the caller, so that callers evaluating many x resolve it
+    once."""
+    if np.any(x < 0.0):
+        raise ValueError(f"cdf needs x >= 0, got {x.min()}")
     h1, h2 = link.hop1, link.hop2
     if isinstance(link.protocol, Df):
-        return _clamp01(1.0 - snr_ccdf_general(h1, x) * snr_ccdf_general(h2, x))
+        val = 1.0 - snr_ccdf_general(h1, x) * snr_ccdf_general(h2, x)
+        return np.clip(val, 0.0, 1.0)
     lo, hi = _density_window(h2)
     h = _step(h1, h2)
-    if isinstance(link.protocol, CsiAf):
+    val = np.zeros(x.shape)
+    for i in np.flatnonzero(x):
+        v = float(x[i])
+        if isinstance(link.protocol, FixedAf):
+            val[i] = _trapezoid(
+                lambda y: ((1.0 - snr_ccdf_general(h1, v + gain * v / y))
+                           * snr_pdf(h2, y)), lo, hi, h)
+            continue
         # ln z of z = x (x + q), formed so that huge x cannot overflow
-        log_z = math.log(x) + math.log(x + link.protocol.q)
-        lo = max(math.log(x) - 40.0,
-                 math.log(_slowest_rate(h1)) + log_z - math.log(800.0))
-        if lo >= hi:
-            return 1.0
-        val = _trapezoid(
-            lambda y: (snr_ccdf_general(h1, x + np.exp(log_z - np.log(y)))
-                       * snr_pdf(h2, x + y)), lo, hi, h)
-        return _clamp01(1.0 - val)
-    val = _trapezoid(
-        lambda y: (1.0 - snr_ccdf_general(h1, x + gain * x / y)) * snr_pdf(h2, y),
-        lo, hi, h)
-    return _clamp01(val)
+        log_z = math.log(v) + math.log(v + link.protocol.q)
+        lo_v = max(math.log(v) - 40.0,
+                   math.log(_slowest_rate(h1)) + log_z - math.log(800.0))
+        val[i] = 1.0 - (_trapezoid(
+            lambda y: (snr_ccdf_general(h1, v + np.exp(log_z - np.log(y)))
+                       * snr_pdf(h2, v + y)), lo_v, hi, h) if lo_v < hi else 0.0)
+    return np.clip(val, 0.0, 1.0)
 
 
 def outage(link: RelayLink, gamma_th: float) -> float:

@@ -7,10 +7,11 @@ functions are used directly from scipy and math.  The pieces scipy does
 not provide are implemented here: the logarithm of the confluent U by
 the trapezoidal rule on its integral (scipy's hyperu is non-finite or
 inaccurate at some arguments the fixed-gain ABER needs), and the upper
-incomplete Gamma with non-positive first argument, elementwise on arrays
-of x for the quadrature oracle, its exponentially-scaled variant, and on
-arrays x^{-a} Gamma(a, x), which stays finite where Gamma(a, x)
-overflows at small x.
+incomplete Gamma with non-positive first argument, its exponentially
+scaled variant and x^{-a} Gamma(a, x), which stays finite where
+Gamma(a, x) overflows at small x.  These take arrays of x only (a
+scalar x is a 0-d array and gives a float), so that the fixed gain and
+the quadrature oracle share one route.
 Small arguments use the finite downward recurrence
 
     Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a
@@ -23,6 +24,7 @@ once x dominates the order.
 from __future__ import annotations
 
 import math
+from functools import wraps
 
 import numpy as np
 from scipy import special as sp
@@ -39,35 +41,22 @@ _CF_TOL = 1e-14
 _CF_MAX_TERMS = 500
 
 
-def _gamma_cf(a: float, x: float) -> float:
-    """Modified Lentz continued fraction h with Gamma(a, x) = e^{-x} x^a h."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _CF_MAX_TERMS):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_TOL:
-            return h
-    raise ConvergenceError(
-        f"continued fraction for Gamma({a}, {x}) did not converge")
+def _elementwise(fn):
+    """fn with its last argument x passed as a flat float array and its
+    result given x's shape; a scalar x gives a float."""
+    @wraps(fn)
+    def on_array(*args):
+        x = np.asarray(args[-1], dtype=float)
+        out = fn(*args[:-1], x.ravel())
+        return out.reshape(x.shape) if x.ndim else float(out[0])
+    return on_array
 
 
 def _gamma_cf_array(a: float, x: np.ndarray) -> np.ndarray:
-    """_gamma_cf elementwise on a 1-D array, iterated under a mask: each
-    element stops at its own converged step, so its value does not depend
-    on the other elements."""
+    """Modified Lentz continued fraction h with Gamma(a, x) = e^{-x} x^a h,
+    elementwise on a 1-D array, iterated under a mask: each element stops
+    at its own converged step, so its value does not depend on the other
+    elements."""
     tiny = 1e-300
     b = x + 1.0 - a
     c = np.full_like(b, 1.0 / tiny)
@@ -92,6 +81,7 @@ def _gamma_cf_array(a: float, x: np.ndarray) -> np.ndarray:
         f"continued fraction for Gamma({a}, {x[live[0]]}) did not converge")
 
 
+@_elementwise
 def upper_inc_gamma(a: float, x):
     """Upper incomplete Gamma(a, x) for x > 0 and any real a, elementwise
     on an array of x.
@@ -101,15 +91,7 @@ def upper_inc_gamma(a: float, x):
     seeds the integer ladder), whose step count depends only on a.  The
     recurrence is avoided at large x where its subtraction cancels
     catastrophically.
-
-    A scalar x is evaluated in scalar arithmetic, many times faster for
-    one x than the array route, which the quadrature oracle's node arrays
-    take; the two agree to ~1e-15 relative (numpy's exp and log are not
-    the C library's).
     """
-    if np.ndim(x) == 0:
-        return _upper_inc_gamma_scalar(a, float(x))
-    x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):
         raise ValueError(f"upper_inc_gamma needs x > 0, got {x.min()}")
     if a > 0.0:
@@ -119,6 +101,7 @@ def upper_inc_gamma(a: float, x):
     return np.exp(a * np.log(x)) * _power_scaled_gamma(a, x)
 
 
+@_elementwise
 def _power_scaled_gamma(a: float, x: np.ndarray) -> np.ndarray:
     """x^{-a} Gamma(a, x) for a <= 0, elementwise on an array of x > 0.
 
@@ -130,12 +113,11 @@ def _power_scaled_gamma(a: float, x: np.ndarray) -> np.ndarray:
 
     whose steps depend only on a.
     """
-    flat = np.asarray(x, dtype=float).ravel()
-    out = np.empty_like(flat)
-    cf = flat >= _CF_MIN_X
-    x_cf = flat[cf]
+    out = np.empty_like(x)
+    cf = x >= _CF_MIN_X
+    x_cf = x[cf]
     out[cf] = np.exp(-x_cf) * _gamma_cf_array(a, x_cf)
-    x_rec = flat[~cf]
+    x_rec = x[~cf]
     order = a - math.floor(a)
     if order == 0.0:
         g = sp.exp1(x_rec)
@@ -147,38 +129,25 @@ def _power_scaled_gamma(a: float, x: np.ndarray) -> np.ndarray:
         order -= 1.0
         g = (x_rec * g - decay) / order
     out[~cf] = g
-    return out.reshape(np.shape(x))
+    return out
 
 
-def _upper_inc_gamma_scalar(a: float, x: float) -> float:
-    if x <= 0.0:
-        raise ValueError(f"upper_inc_gamma needs x > 0, got {x}")
-    if a > 0.0:
-        return float(sp.gammaincc(a, x) * sp.gamma(a))
-    if x >= _CF_MIN_X:
-        return math.exp(-x + a * math.log(x)) * _gamma_cf(a, x)
-    order = a - math.floor(a)
-    if order == 0.0:
-        g = float(sp.exp1(x))
-    else:
-        g = float(sp.gammaincc(order, x) * sp.gamma(order))
-    while order > a + 0.5:
-        order -= 1.0
-        g = (g - x ** order * math.exp(-x)) / order
-    return g
-
-
-def scaled_upper_inc_gamma(a: float, x: float) -> float:
-    """e^x * Gamma(a, x), stable for large x where e^x alone overflows.
+@_elementwise
+def scaled_upper_inc_gamma(a: float, x):
+    """e^x * Gamma(a, x) for x > 0, elementwise on an array of x; stable
+    for large x where e^x alone overflows.
 
     Needed by the fixed-gain formula, whose terms are exactly of this
-    shape with x = c/(A0*gbar) growing like 1/SNR.
+    shape with x = c/(A0*gbar) growing like 1/SNR.  The continued fraction
+    serves x >= max(2, a + 2), upper_inc_gamma times e^x the rest.
     """
-    if x <= 0.0:
-        raise ValueError(f"scaled_upper_inc_gamma needs x > 0, got {x}")
-    if x >= max(_CF_MIN_X, a + 2.0):
-        return math.exp(a * math.log(x)) * _gamma_cf(a, x)
-    return math.exp(x) * upper_inc_gamma(a, x)
+    if np.any(x <= 0.0):
+        raise ValueError(f"scaled_upper_inc_gamma needs x > 0, got {x.min()}")
+    out = np.empty_like(x)
+    cf = x >= max(_CF_MIN_X, a + 2.0)
+    out[cf] = np.exp(a * np.log(x[cf])) * _gamma_cf_array(a, x[cf])
+    out[~cf] = np.exp(x[~cf]) * upper_inc_gamma(a, x[~cf])
+    return out
 
 
 def bessel_k(nu: float, x: float) -> float:

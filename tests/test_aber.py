@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 import fso_relay as fr
 from fso_relay import relay
@@ -115,6 +117,15 @@ class TestFixedAber:
         assert closed == pytest.approx(fr.aber_quadrature(link, fr.BPSK),
                                        rel=1e-10)
 
+    def test_quadrature_at_minus_40_db(self):
+        """(8,6,1) at -40 dB: the ABER's gap to 1/2, 4.7e-5, comes from z
+        near the mean SNR 1e-4, far under the kernel's own scale; a rule
+        that does not resolve it there reads the ABER as 1/2."""
+        h = make_hop(8, 6, 1, -40.0)
+        link = fr.RelayLink(h, h, fr.FixedAf())
+        assert fr.aber_quadrature(link, fr.BPSK) == pytest.approx(
+            0.4999533788377428, rel=1e-12)
+
     def test_no_warning_at_high_snr(self):
         # at 80 dB scipy's hyperu is non-finite at some of the sum's U
         # arguments; U is evaluated there without any quadrature warning
@@ -186,6 +197,38 @@ class TestAberDispatcher:
                 h = make_hop(4, 2, 1, db)
                 val = fr.aber(fr.RelayLink(h, h, proto), fr.BPSK)
                 assert 0.0 < val <= 0.5
+
+
+_PROTOS = {"df": fr.Df(), "csi0": fr.CsiAf(0), "csi1": fr.CsiAf(1),
+           "fixed": fr.FixedAf()}
+
+
+class TestBoundRegimeQuadrature:
+    @pytest.mark.parametrize("name,db", [
+        *((name, db) for name in _PROTOS for db in (0.0, 10.0)),
+        # the bound reaches 1 only at z = 704, 790, 712, 712 and 762, far
+        # out in the kernel's e^{-z} tail
+        ("df", 32.0), ("df", 32.5), ("csi0", 39.0), ("csi1", 39.0),
+        ("fixed", 37.5)])
+    def test_matches_adaptive_quadrature(self, name, db):
+        """The bound route's CDF min(1, bound) has a corner where the bound
+        crosses 1.  The reference is scipy's adaptive rule on either side
+        of it, if it lies below z = 40, with z = t^2: the BPSK ABER is
+        int_0^inf e^{-t^2} F(t^2) dt / sqrt(pi)."""
+        h = make_hop(4, 2, 2, db)
+        plan = fr.LinkPlan(fr.RelayLink(h, h, _PROTOS[name]))
+        assert plan.mode == "bound"
+        top = math.sqrt(40.0)     # e^{-40} of the mass lies above
+        cuts = [0.0, top]
+        if plan.cdf(40.0) >= 1.0:
+            cuts.insert(1, brentq(lambda t: plan.cdf(t * t) - 1.0 + 1e-15,
+                                  1e-2, top, xtol=1e-15))
+        ref = math.fsum(
+            quad(lambda t: math.exp(-t * t) * plan.cdf(t * t), lo, hi,
+                 epsabs=0.0, epsrel=1e-13, limit=2000)[0]
+            for lo, hi in zip(cuts, cuts[1:]))
+        assert fr.plan_aber(plan, fr.BPSK) == pytest.approx(
+            ref / math.sqrt(math.pi), rel=1e-10)
 
 
 class TestStrongTurbulence:

@@ -327,3 +327,15 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         assert cli.main(["verify", "--config", str(path)]) == 2
 
+
+class TestImport:
+    def test_cli_import_leaves_out_scipy_integrate(self):
+        """Every command pays for importing the CLI, and the package runs
+        its own quadrature rule, so scipy.integrate is never loaded."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys, fso_relay.cli; print(sorted(m for m in sys.modules"
+                " if m.startswith('scipy.integrate')))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True,
+                             text=True).stdout
+        assert out.strip() == "[]"

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import fso_relay as fr
 from fso_relay.errors import IntegerConditionError
-from fso_relay.hop import _kernel_pdf, kernel_ccdf
+from fso_relay.hop import kernel_ccdf
 from helpers import make_hop, unit_hop
 
 
@@ -214,7 +214,11 @@ class TestReducedPdf:
 
 
 def _bound_pdf(hop, x):
-    return _kernel_pdf(fr.bound_kernel(hop), x)
+    """Density of the bound kernel, summed term by term."""
+    kern = fr.bound_kernel(hop)
+    return math.fsum(math.exp(lc + (m - 1.0) * math.log(x) - lam * x)
+                     for lc, m, lam in zip(kern.log_coef, kern.power,
+                                           kern.rate))
 
 
 class TestBoundPdf:

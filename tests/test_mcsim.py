@@ -153,6 +153,15 @@ class TestEstimateAber:
                                fr.McConfig(samples=1_000_000, seed=15))
         assert est.ci95[0] <= 0.211324865405187 <= est.ci95[1]
 
+    def test_interval_clipped_at_zero(self):
+        """At 50 dB the ABER is ~7e-6 and 1e4 samples give a standard error
+        above half of it: the interval's lower end is 0, not negative."""
+        h = make_hop(4, 2, 1, 50.0)
+        est = fr.estimate_aber(fr.RelayLink(h, h, fr.Df()), fr.BPSK,
+                               fr.McConfig(samples=10_000, seed=1))
+        assert est.value - 1.96 * est.std_err < 0.0
+        assert est.ci95 == (0.0, est.value + 1.96 * est.std_err)
+
     def test_replay_determinism(self):
         h = make_hop(4, 2, 1, 10.0)
         link = fr.RelayLink(h, h, fr.FixedAf())

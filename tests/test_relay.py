@@ -286,6 +286,8 @@ def _termwise_tail(link, x):
     """Tail sum of the AF CDFs with one term per kernel index tuple, as
     the sums are written, without merging."""
     k1, k2 = fr.auto_kernel(link.hop1), fr.auto_kernel(link.hop2)
+    if isinstance(link.protocol, fr.FixedAf):
+        u = fr.LinkPlan(link).gain
     lg = math.lgamma
     binom = lambda n, k: lg(n + 1.0) - lg(k + 1.0) - lg(n - k + 1.0)
     terms = []
@@ -295,7 +297,6 @@ def _termwise_tail(link, x):
             for r1 in range(m1):
                 for s in range(r1 + 1):
                     if isinstance(link.protocol, fr.FixedAf):
-                        u = fr.LinkPlan(link).gain
                         half = 0.5 * (m2 - s)
                         terms.append(math.exp(
                             lead - lg(r1 + 1.0) + binom(r1, s)
@@ -335,6 +336,21 @@ class TestLinkPlan:
             z = x * x + proto.q * x if isinstance(proto, fr.CsiAf) else x
             assert plan.table.tail(x, z) == pytest.approx(
                 _termwise_tail(link, x), rel=1e-13)
+
+    @pytest.mark.parametrize("xi_sq,route", [(1, "closed"), (2, "bound"),
+                                             (1.5, "numeric")])
+    @pytest.mark.parametrize("proto", [fr.Df(), fr.CsiAf(0), fr.CsiAf(1),
+                                       fr.FixedAf()])
+    def test_array_cdf_equals_scalar_calls(self, proto, xi_sq, route):
+        """On an array, each x's CDF is the scalar call's bit for bit, on
+        every route."""
+        h = make_hop(4, 2, xi_sq, 10.0)
+        plan = fr.LinkPlan(fr.RelayLink(h, h, proto))
+        assert plan.mode == route
+        x = np.geomspace(1e-6, 1e3, 36)
+        scalar = [plan.cdf(float(v)) for v in x]
+        assert all(type(v) is float for v in scalar)
+        assert plan.cdf(x.reshape(6, 6)).ravel().tolist() == scalar
 
     def test_routes_and_gain(self):
         h = make_hop(4, 2, 1, 10.0)

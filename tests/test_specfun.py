@@ -92,7 +92,7 @@ class TestUpperIncGamma:
         with mpmath.workdps(30):
             ref = np.array([float(mpmath.gammainc(a, v)) for v in x])
         np.testing.assert_allclose(vals, ref, rtol=1e-13, atol=0.0)
-        # the scalar route is the reference of the array route
+        # a scalar x gives the array's value for it
         np.testing.assert_allclose(
             vals, [fr.upper_inc_gamma(a, float(v)) for v in x],
             rtol=1e-13, atol=0.0)
