@@ -8,15 +8,15 @@ aber_from_cdf); the three protocol-specific closed forms carry out the
 integral symbolically term by term and are valid under the same integer
 conditions as the CDF sums (exact kernels on both hops).
 
-The closed forms are computed from a LinkPlan: the CSI (q=0) and
-fixed-gain ABERs transform the columns of the plan's merged CDF term
+The closed forms are computed from the resolved link: the CSI (q=0) and
+fixed-gain ABERs transform the columns of the link's merged CDF term
 table, whose terms each integrate to one 2F1 resp. confluent-U factor,
 and the DF ABER pairs the terms of the two hop tails.  The special
 functions are evaluated once per distinct argument tuple and gathered
 back onto the terms.
 
 The exact CSI-assisted case (q=1) and the bound route have no closed
-ABER; the evaluator serves them over the plan's CDF, on the bound route
+ABER; the evaluator serves them over the link's CDF, on the bound route
 split where the clamped bound reaches 1.
 """
 
@@ -30,9 +30,9 @@ import numpy as np
 from scipy.special import gammaincc, gammaln
 
 from .errors import IntegerConditionError
-from .relay import (CsiAf, Df, FixedAf, LinkPlan, RelayLink, TermTable,
-                    _oracle_cdf, _oracle_gain, _step, _trapezoid)
-from .specfun import _log_hyperu, gauss_2f1
+from .relay import (CsiAf, Df, FixedAf, RelayLink, TermTable, _step,
+                    _trapezoid, cdf_numeric)
+from .specfun import _exp_fsum, _log_hyperu, gauss_2f1
 
 _BER_FLOOR = 1e-300
 _LN2 = math.log(2.0)
@@ -51,9 +51,9 @@ class Modulation:
     q: float
 
     def __post_init__(self) -> None:
-        if self.p <= 0.0 or self.q <= 0.0:
-            raise ValueError(
-                f"modulation parameters must be positive: {self.p}, {self.q}")
+        if not (0.0 < self.p < math.inf and 0.0 < self.q < math.inf):
+            raise ValueError("modulation parameters must be positive and "
+                             f"finite: {self.p}, {self.q}")
 
 
 BPSK = Modulation(0.5, 1.0)
@@ -91,46 +91,44 @@ def _kernel_rule(cdf_fn, mod: Modulation, h: float,
     return math.exp(_log_pref(mod)) * val + 0.5 * float(gammaincc(p, q * top))
 
 
-def _plan_quadrature(plan: LinkPlan, mod: Modulation) -> float:
-    """_kernel_rule over the plan's CDF.  On the bound route the clamped
+def _link_quadrature(link: RelayLink, mod: Modulation) -> float:
+    """_kernel_rule over the link's CDF.  On the bound route the clamped
     CDF reaches 1 with a corner, the kink, found by bisection in ln z to
     1e-9 (the bound is monotone) unless it lies above z = 400/Q, where the
     walk without a kink starts and the kernel has decayed by e^{-400}."""
     lo, hi = _LOG_Z_MIN, math.log(0.5 * _Z_TOP / mod.q)
     kink = None
-    if plan.mode == "bound" and plan.cdf(math.exp(hi)) >= 1.0:
+    if link.mode == "bound" and link.cdf(math.exp(hi)) >= 1.0:
         while hi - lo > 1e-9:
             mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if plan.cdf(math.exp(mid)) < 1.0 else (lo, mid)
+            lo, hi = (mid, hi) if link.cdf(math.exp(mid)) < 1.0 else (lo, mid)
         kink = math.exp(lo)
-    link = plan.link
-    return _kernel_rule(plan.cdf, mod, _step(link.hop1, link.hop2), kink)
+    return _kernel_rule(link.cdf, mod, _step(link.hop1, link.hop2), kink)
 
 
 def aber_quadrature(link: RelayLink, mod: Modulation,
                     basis: str = "auto") -> float:
     """ABER by numeric kernel integration.
 
-    basis 'auto' integrates the link's LinkPlan CDF (the closed-form CDF
+    basis 'auto' integrates the link's own CDF (the closed-form CDF
     where the link supports it -- the kernel integral stays an
     independent check of the symbolic ABER sums); 'numeric' integrates
     the quadrature CDF of cdf_numeric.
     """
     if basis == "numeric":
-        return _kernel_rule(partial(_oracle_cdf, link, _oracle_gain(link)),
-                            mod, _step(link.hop1, link.hop2), None)
+        return _kernel_rule(partial(cdf_numeric, link), mod,
+                            _step(link.hop1, link.hop2), None)
     if basis != "auto":
         raise ValueError(f"unknown basis {basis!r}")
-    return _plan_quadrature(LinkPlan(link), mod)
+    return _link_quadrature(link, mod)
 
 
-def _exact_plan(link: RelayLink) -> LinkPlan:
-    plan = LinkPlan(link)
-    if plan.mode != "closed":
+def _require_closed(link: RelayLink) -> RelayLink:
+    if link.mode != "closed":
         raise IntegerConditionError(
             "closed-form ABER needs exact kernels on both hops; "
             "use aber_quadrature in the bound regime")
-    return plan
+    return link
 
 
 def _log_pref(mod: Modulation) -> float:
@@ -145,7 +143,7 @@ def _per_distinct(fn, *args) -> np.ndarray:
 
 
 def _closed_sum(log_terms: np.ndarray) -> float:
-    return max(_BER_FLOOR, 0.5 - math.fsum(np.exp(log_terms).ravel().tolist()))
+    return max(_BER_FLOOR, 0.5 - _exp_fsum(log_terms.ravel()))
 
 
 def _aber_csi_closed(table: TermTable, mod: Modulation) -> float:
@@ -181,10 +179,10 @@ def _aber_fixed_closed(table: TermTable, mod: Modulation) -> float:
         + log_u)
 
 
-def _aber_df_closed(plan: LinkPlan, mod: Modulation) -> float:
+def _aber_df_closed(link: RelayLink, mod: Modulation) -> float:
     # the product of the hop tails sum_j exp(c_j) x^{r_j} e^{-lam_j x}
     # integrates termwise to Gamma(r1 + r2 + P) / (lam1 + lam2 + Q)^(...)
-    (c1, r1, lam1), (c2, r2, lam2) = (k.ccdf_terms for k in plan.kernels)
+    (c1, r1, lam1), (c2, r2, lam2) = (k.ccdf_terms for k in link.kernels)
     n = r1[:, None] + r2[None, :] + mod.p
     return _closed_sum(
         _log_pref(mod) + c1[:, None] + c2[None, :] + gammaln(n)
@@ -203,7 +201,7 @@ def aber_csi(link: RelayLink, mod: Modulation) -> float:
     """
     if not (isinstance(link.protocol, CsiAf) and link.protocol.q == 0):
         raise ValueError("aber_csi applies to CsiAf links with q=0")
-    return _aber_csi_closed(_exact_plan(link).table, mod)
+    return _aber_csi_closed(_require_closed(link).table, mod)
 
 
 def aber_fixed(link: RelayLink, mod: Modulation) -> float:
@@ -218,7 +216,7 @@ def aber_fixed(link: RelayLink, mod: Modulation) -> float:
     """
     if not isinstance(link.protocol, FixedAf):
         raise ValueError("aber_fixed applies to FixedAf links")
-    return _aber_fixed_closed(_exact_plan(link).table, mod)
+    return _aber_fixed_closed(_require_closed(link).table, mod)
 
 
 def aber_df(link: RelayLink, mod: Modulation) -> float:
@@ -226,25 +224,18 @@ def aber_df(link: RelayLink, mod: Modulation) -> float:
     per-hop tails integrates termwise to elementary Gamma factors."""
     if not isinstance(link.protocol, Df):
         raise ValueError("aber_df applies to Df links")
-    return _aber_df_closed(_exact_plan(link), mod)
-
-
-def plan_aber(plan: LinkPlan, mod: Modulation) -> float:
-    """Best available ABER of a planned link: closed form where one exists
-    (exact kernels, and q=0 for CSI), kernel quadrature over the plan's
-    CDF otherwise."""
-    proto = plan.link.protocol
-    if plan.mode == "closed":
-        if isinstance(proto, Df):
-            return _aber_df_closed(plan, mod)
-        if isinstance(proto, FixedAf):
-            return _aber_fixed_closed(plan.table, mod)
-        if proto.q == 0:
-            return _aber_csi_closed(plan.table, mod)
-    return _plan_quadrature(plan, mod)
+    return _aber_df_closed(_require_closed(link), mod)
 
 
 def aber(link: RelayLink, mod: Modulation) -> float:
     """Best available ABER: closed form where one exists (exact kernels,
-    and q=0 for CSI), kernel quadrature otherwise."""
-    return plan_aber(LinkPlan(link), mod)
+    and q=0 for CSI), kernel quadrature over the link's CDF otherwise."""
+    proto = link.protocol
+    if link.mode == "closed":
+        if isinstance(proto, Df):
+            return _aber_df_closed(link, mod)
+        if isinstance(proto, FixedAf):
+            return _aber_fixed_closed(link.table, mod)
+        if proto.q == 0:
+            return _aber_csi_closed(link.table, mod)
+    return _link_quadrature(link, mod)

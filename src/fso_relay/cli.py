@@ -35,13 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aber import Modulation, aber_quadrature, plan_aber
+from .aber import Modulation, aber, aber_quadrature
 from .errors import ConvergenceError
 from .hop import HopChannel, Pointing, snr_pdf
 from .mcsim import McConfig, estimate_aber, estimate_outage
 from .mgfit import (GammaGammaParams, MixtureGamma, fit_gamma_gamma,
                     gamma_gamma_pdf, mg_pdf)
-from .relay import CsiAf, Df, FixedAf, LinkPlan, RelayLink, cdf_numeric
+from .relay import CsiAf, Df, FixedAf, RelayLink, cdf_numeric, outage
 
 _PROTOCOLS = ("csi0", "csi1", "fixed", "df")
 _ABER_QUAD_TOL = 1e-6
@@ -125,10 +125,16 @@ def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(n))
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise ScenarioError(f"{what} must be finite, got {value}")
+    return value
+
+
 def _parse_x_db(text: str) -> tuple[float, ...]:
     """Either comma-separated values or start:stop:step, all in dB."""
     if ":" not in text:
-        return tuple(float(t) for t in text.split(","))
+        return tuple(_finite(float(t), "--x-db") for t in text.split(","))
     parts = [float(t) for t in text.split(":")]
     if len(parts) != 3:
         raise ScenarioError(f"bad range {text!r}, want start:stop:step")
@@ -180,9 +186,14 @@ def _parse_scenario(doc: dict) -> Scenario:
     gain = doc.get("fixed_gain")
     return Scenario(hops=(specs[0], specs[-1]), protocols=protocols,
                     modulation=modulation,
-                    gamma_th_db=float(doc.get("gamma_th_db", 0.0)),
+                    gamma_th_db=_finite(float(doc.get("gamma_th_db", 0.0)),
+                                        "gamma_th_db"),
                     grid_db=grid, mc=mc,
                     fixed=FixedAf(None if gain is None else float(gain)))
+
+
+def _no_constant(name: str):
+    raise ScenarioError(f"scenario numbers must be finite, got {name}")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -190,7 +201,8 @@ def load_scenario(path: str) -> Scenario:
     ScenarioError, or ValueError from the channel and protocol types."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return _parse_scenario(_object(json.load(fh), "scenario"))
+            doc = json.load(fh, parse_constant=_no_constant)
+            return _parse_scenario(_object(doc, "scenario"))
     except (OSError, json.JSONDecodeError, TypeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
 
@@ -202,7 +214,7 @@ def _scenario(args) -> Scenario:
         scenario.protocols = _protocols(
             p.strip() for p in args.protocol.split(",") if p.strip())
     if getattr(args, "gamma_th_db", None) is not None:
-        scenario.gamma_th_db = args.gamma_th_db
+        scenario.gamma_th_db = _finite(args.gamma_th_db, "--gamma-th-db")
     return scenario
 
 
@@ -214,16 +226,16 @@ def make_link(scenario: Scenario, proto: str, gamma_bar_db: float) -> RelayLink:
 
 
 def _point_rows(scenario: Scenario, gamma_bar_db: float, protocols, values):
-    """Rows of one SNR point: one LinkPlan per protocol, that protocol's
-    rows from values(gamma_bar_db, proto, plan), each ended by method and
-    bound_regime.  A numerical failure is re-raised naming the point and
-    the protocol."""
+    """Rows of one SNR point: one link per protocol, resolved once for all
+    of that protocol's rows from values(gamma_bar_db, proto, link), each
+    ended by method and bound_regime.  A numerical failure is re-raised
+    naming the point and the protocol."""
     rows = []
     for proto in protocols:
         try:
-            plan = LinkPlan(make_link(scenario, proto, gamma_bar_db))
-            rows += [[*row, plan.mode, plan.mode == "bound"]
-                     for row in values(gamma_bar_db, proto, plan)]
+            link = make_link(scenario, proto, gamma_bar_db)
+            rows += [[*row, link.mode, link.mode == "bound"]
+                     for row in values(gamma_bar_db, proto, link)]
         except _NUMERICAL as exc:
             raise ConvergenceError(
                 f"at gamma_bar_db={gamma_bar_db}, protocol={proto}: {exc}"
@@ -278,7 +290,7 @@ def cmd_cdf(args) -> int:
     xs = _parse_x_db(args.x_db)
     rows = _point_rows(
         scenario, args.gamma_bar_db, scenario.protocols,
-        lambda g, proto, plan: [[proto, x_db, plan.cdf(10.0 ** (x_db / 10.0))]
+        lambda g, proto, link: [[proto, x_db, link.cdf(10.0 ** (x_db / 10.0))]
                                 for x_db in xs])
     _write_rows(["protocol", "x_db", "cdf", "method", "bound_regime"], rows,
                 args.out)
@@ -290,11 +302,11 @@ def cmd_sweep(args) -> int:
     scenario = _scenario(args)
     sweep = args.command == "sweep"
     columns = ("outage", "aber") if sweep else (args.command,)
-    value = {"outage": lambda plan: plan.outage(scenario.gamma_th),
-             "aber": lambda plan: plan_aber(plan, scenario.modulation)}
+    value = {"outage": lambda link: outage(link, scenario.gamma_th),
+             "aber": lambda link: aber(link, scenario.modulation)}
 
-    def point(g: float, proto: str, plan: LinkPlan) -> list[list]:
-        return [[g, proto, *(value[c](plan) for c in columns)]]
+    def point(g: float, proto: str, link: RelayLink) -> list[list]:
+        return [[g, proto, *(value[c](link) for c in columns)]]
 
     rows = [row for g in (scenario.grid_db if sweep else (args.gamma_bar_db,))
             for row in _point_rows(scenario, g, scenario.protocols, point)]
@@ -322,16 +334,15 @@ def cmd_verify(args) -> int:
     mc_cfg = McConfig(**mc)
     gth, mod = scenario.gamma_th, scenario.modulation
 
-    def checks(gamma_bar_db: float, proto: str, plan: LinkPlan) -> list[list]:
-        link = plan.link
-        outage = (plan.outage(gth), cdf_numeric(link, gth),
-                  estimate_outage(link, gth, mc_cfg))
-        aber = (plan_aber(plan, mod), aber_quadrature(link, mod, basis="numeric"),
-                estimate_aber(link, mod, mc_cfg))
+    def checks(gamma_bar_db: float, proto: str, link: RelayLink) -> list[list]:
+        outages = (outage(link, gth), cdf_numeric(link, gth),
+                   estimate_outage(link, gth, mc_cfg))
+        abers = (aber(link, mod), aber_quadrature(link, mod, basis="numeric"),
+                 estimate_aber(link, mod, mc_cfg))
         return [[gamma_bar_db, proto, metric, closed, quadv, est.value,
                  est.std_err, *est.ci95]
-                for metric, (closed, quadv, est) in (("outage", outage),
-                                                     ("aber", aber))]
+                for metric, (closed, quadv, est) in (("outage", outages),
+                                                     ("aber", abers))]
 
     rows = [row + [_passed(row)] for g in scenario.grid_db
             for row in _point_rows(scenario, g, scenario.protocols, checks)]

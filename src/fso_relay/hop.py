@@ -37,7 +37,8 @@ from scipy.special import gammaln
 
 from .errors import IntegerConditionError
 from .mgfit import GammaGammaParams, MixtureGamma, mg_mean
-from .specfun import _elementwise, _power_scaled_gamma, upper_inc_gamma
+from .specfun import (_elementwise, _exp_fsum, _power_scaled_gamma,
+                      upper_inc_gamma)
 
 _INT_TOL = 1e-9
 
@@ -69,8 +70,8 @@ class Pointing:
     a0: float
 
     def __post_init__(self) -> None:
-        if self.xi_sq <= 0.0:
-            raise ValueError(f"xi_sq must be positive, got {self.xi_sq}")
+        if not 0.0 < self.xi_sq < math.inf:
+            raise ValueError(f"xi_sq must be positive and finite, got {self.xi_sq}")
         if not 0.0 < self.a0 <= 1.0:
             raise ValueError(f"a0 must lie in (0, 1], got {self.a0}")
 
@@ -96,8 +97,9 @@ class HopChannel:
     gg: GammaGammaParams | None = None
 
     def __post_init__(self) -> None:
-        if self.gamma_bar <= 0.0:
-            raise ValueError(f"gamma_bar must be positive, got {self.gamma_bar}")
+        if not 0.0 < self.gamma_bar < math.inf:
+            raise ValueError(
+                f"gamma_bar must be positive and finite, got {self.gamma_bar}")
 
     @cached_property
     def kernel_scale(self) -> float:
@@ -154,8 +156,8 @@ class SnrKernel:
     @cached_property
     def mass(self) -> float:
         m = np.asarray(self.power, dtype=float)
-        return math.fsum(np.exp(np.asarray(self.log_coef) + gammaln(m)
-                                - m * np.log(self.rate)).tolist())
+        return _exp_fsum(np.asarray(self.log_coef) + gammaln(m)
+                         - m * np.log(self.rate))
 
     @cached_property
     def ccdf_terms(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,8 +275,7 @@ def _gamma_sum(log_coef, power, rate, x: np.ndarray) -> np.ndarray:
     1-D array, each x's terms reduced with fsum, so that its value does not
     depend on the other x."""
     col = x[:, None]
-    terms = np.exp(log_coef + power * np.log(col) - rate * col)
-    return np.array([math.fsum(row) for row in terms.tolist()])
+    return np.array(_exp_fsum(log_coef + power * np.log(col) - rate * col))
 
 
 @_elementwise

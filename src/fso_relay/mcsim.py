@@ -33,7 +33,7 @@ from scipy.special import erfc, gammaincc
 from .aber import Modulation
 from .hop import HopChannel, mean_irradiance
 from .mgfit import mg_sample
-from .relay import CsiAf, FixedAf, RelayLink, _oracle_gain
+from .relay import CsiAf, FixedAf, RelayLink
 
 _BLOCK = 1 << 16
 
@@ -126,9 +126,9 @@ def _blocked_reduce(cfg: McConfig, block_fn):
 def estimate_outage(link: RelayLink, gamma_th: float,
                     cfg: McConfig) -> Estimate:
     """Outage estimate: indicator mean of {end-to-end SNR < gamma_th}."""
-    if gamma_th <= 0.0:
+    if not gamma_th > 0.0:
         raise ValueError(f"gamma_th must be positive, got {gamma_th}")
-    gain = _oracle_gain(link)
+    gain = link.gain   # resolved here, not in blocks that may run on threads
 
     def block(b: int, size: int):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed,
@@ -158,7 +158,7 @@ def _conditional_ber(mod: Modulation, g: np.ndarray) -> np.ndarray:
 def estimate_aber(link: RelayLink, mod: Modulation,
                   cfg: McConfig) -> Estimate:
     """ABER estimate: sample mean of Gamma(P, Q*gamma) / (2 Gamma(P))."""
-    gain = _oracle_gain(link)
+    gain = link.gain
 
     def block(b: int, size: int):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed,

@@ -7,28 +7,28 @@ Protocols and their end-to-end SNRs:
 * decode-forward:  min(g1, g2).
 
 For integer-condition hops the CDFs are finite sums over the per-hop
-kernel terms with Bessel-K factors.  A LinkPlan resolves a link once: the
-route (closed, bound or numeric), both hop kernels, the fixed gain and the
-CDF term table.  The table's integer index structure depends only on the
-kernels' integer powers and is shared between links; only its
-rate-dependent columns are computed per link.  At build time the terms
-that share (z-power, x-power, Bessel order, rate, Bessel scale) are
-merged, since their x-dependence is identical, and the Bessel factor is
-then evaluated once per distinct (order, scale) at each x of an array.
-Each x's sum is assembled in log space (every term is positive and no
-term can exceed the total, which is a probability) and reduced with
-compensated summation, because terms mix magnitudes across many orders
-once the average SNRs are large.
+kernel terms with Bessel-K factors.  A RelayLink resolves itself once,
+at first use: the route (closed, bound or numeric), both hop kernels,
+the fixed gain and the CDF term table.  The table's integer index
+structure depends only on the kernels' integer powers and is shared
+between links; only its rate-dependent columns are computed per link.
+At build time the terms that share (z-power, x-power, Bessel order,
+rate, Bessel scale) are merged, since their x-dependence is identical,
+and the Bessel factor is then evaluated once per distinct (order,
+scale) at each x of an array.  Each x's sum is assembled in log space
+(every term is positive and no term can exceed the total, which is a
+probability) and reduced with compensated summation, because terms mix
+magnitudes across many orders once the average SNRs are large.
 
-cdf, outage and link_mode evaluate a link through its LinkPlan; cdf
-needs the kernel sums, outage falls back to quadrature.  cdf_numeric is
-the quadrature oracle, valid for any real parameters: the defining
-single integral over the other hop's density, substituted y = e^u and
-summed by the package's one trapezoidal rule, _trapezoid, on an array
-of u nodes (window and step in cdf_numeric), over the incomplete-Gamma
-per-hop statistics.  It and the Monte Carlo oracle take the fixed gain
-from the link's LinkPlan; fixed_gain_numeric integrates the gain, and
-the ABER evaluator its kernel, with the same rule.
+cdf, outage and link_mode read the resolved link; cdf needs the kernel
+sums, outage falls back to quadrature.  cdf_numeric is the quadrature
+oracle, valid for any real parameters: the defining single integral
+over the other hop's density, substituted y = e^u and summed by the
+package's one trapezoidal rule, _trapezoid, on an array of u nodes
+(window and step in cdf_numeric), over the incomplete-Gamma per-hop
+statistics.  It and the Monte Carlo oracle take the fixed gain from the
+link; fixed_gain_numeric integrates the gain, and the ABER evaluator
+its kernel, with the same rule.
 
 When a hop is in the upper-bound regime its kernel mass N exceeds 1 and
 the plain tail sums would produce a LOWER bound on outage.  The
@@ -54,7 +54,8 @@ from scipy.special import gammaln
 from .errors import IntegerConditionError
 from .hop import (HopChannel, SnrKernel, auto_kernel, kernel_ccdf,
                   snr_ccdf_general, snr_pdf)
-from .specfun import _elementwise, log_bessel_k, scaled_upper_inc_gamma
+from .specfun import (_elementwise, _exp_fsum, log_bessel_k,
+                      scaled_upper_inc_gamma)
 
 _LN2 = math.log(2.0)
 # elements of the (x, term) grids of TermTable.tail, about 2 MB each
@@ -81,8 +82,8 @@ class FixedAf:
     gain: float | None = None
 
     def __post_init__(self) -> None:
-        if self.gain is not None and self.gain <= 0.0:
-            raise ValueError(f"gain must be positive, got {self.gain}")
+        if self.gain is not None and not 0.0 < self.gain < math.inf:
+            raise ValueError(f"gain must be positive and finite, got {self.gain}")
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,6 @@ class Df:
 Protocol = CsiAf | FixedAf | Df
 
 
-@dataclass(frozen=True)
-class RelayLink:
-    hop1: HopChannel
-    hop2: HopChannel
-    protocol: Protocol
-
-
 def _gain_from_kernel(kern: SnrKernel) -> float:
     # U = 1 / E[1/(1+g)]; each expectation term is
     # C Gamma(m) e^lam Gamma(1-m, lam), evaluated in scaled form since
@@ -108,8 +102,8 @@ def _gain_from_kernel(kern: SnrKernel) -> float:
     scaled = np.empty_like(lam)
     for power in np.unique(m):
         scaled[m == power] = scaled_upper_inc_gamma(1.0 - power, lam[m == power])
-    return 1.0 / math.fsum(np.exp(np.asarray(kern.log_coef) + gammaln(m)
-                                  + np.log(scaled)).tolist())
+    return 1.0 / _exp_fsum(np.asarray(kern.log_coef) + gammaln(m)
+                           + np.log(scaled))
 
 
 def fixed_gain(hop1: HopChannel) -> float:
@@ -260,63 +254,70 @@ class TermTable:
                     + self.ex * np.log(x_r) - self.rate * x_r
                     + log_bessel_k(self.k_nu, 2.0 * np.sqrt(self.k_r * z_r))
                     [:, self.k_idx])
-            out += [math.fsum(row) for row in np.exp(logs).tolist()]
+            out += _exp_fsum(logs)
         return np.reshape(out, x.shape) if x.ndim else out[0]
 
 
-class LinkPlan:
-    """A relay link resolved once for evaluation.
+@dataclass(frozen=True)
+class RelayLink:
+    """A dual-hop relay link, resolved once at first use.
 
     mode is the CDF route: 'closed' (exact kernels on both hops), 'bound'
     (a hop in the upper-bound regime; the sums bound the CDF from above)
     or 'numeric' (a hop fails the integer conditions; quadrature only).
     kernels holds both hop kernels (None on the numeric route), gain the
     fixed-gain AF gain (None for other protocols) and table the CDF term
-    table of the AF protocols, built at first use.
+    table of the AF protocols.  Each is computed at its first use and
+    kept, so every evaluation of the link reuses it.
     """
 
-    def __init__(self, link: RelayLink) -> None:
-        self.link = link
-        kerns: list[SnrKernel | None] = []
-        self._why: IntegerConditionError | None = None
-        for hop in (link.hop1, link.hop2):
-            try:
-                kerns.append(auto_kernel(hop))
-            except IntegerConditionError as exc:
-                kerns.append(None)
-                self._why = self._why or exc
-        k1, k2 = kerns
-        if k1 is None or k2 is None:
-            self.kernels, self.mode = None, "numeric"
-        else:
-            self.kernels = (k1, k2)
-            exact = k1.mode == k2.mode == "exact"
-            self.mode = "closed" if exact else "bound"
-        self.gain = None
-        if isinstance(link.protocol, FixedAf):
-            if link.protocol.gain is not None:
-                self.gain = link.protocol.gain
-            elif k1 is None:
-                self.gain = fixed_gain_numeric(link.hop1)
-            else:
-                self.gain = _gain_from_kernel(k1)
+    hop1: HopChannel
+    hop2: HopChannel
+    protocol: Protocol
+
+    @cached_property
+    def kernels(self) -> tuple[SnrKernel, SnrKernel] | None:
+        try:
+            return auto_kernel(self.hop1), auto_kernel(self.hop2)
+        except IntegerConditionError:
+            return None
+
+    @cached_property
+    def mode(self) -> str:
+        if self.kernels is None:
+            return "numeric"
+        k1, k2 = self.kernels
+        return "closed" if k1.mode == k2.mode == "exact" else "bound"
+
+    @cached_property
+    def gain(self) -> float | None:
+        """The protocol's own gain if set, else the closed gain from hop
+        1's kernel if it has one (whatever hop 2's route), else quadrature."""
+        if not isinstance(self.protocol, FixedAf):
+            return None
+        if self.protocol.gain is not None:
+            return self.protocol.gain
+        try:
+            k1 = self.kernels[0] if self.kernels else auto_kernel(self.hop1)
+        except IntegerConditionError:
+            return fixed_gain_numeric(self.hop1)
+        return _gain_from_kernel(k1)
 
     def require_kernels(self) -> tuple[SnrKernel, SnrKernel]:
-        """Both hop kernels; IntegerConditionError on the numeric route."""
-        if self.kernels is None:
-            raise IntegerConditionError(str(self._why))
-        return self.kernels
+        """Both hop kernels; on the numeric route the first failing hop
+        raises its IntegerConditionError."""
+        return self.kernels or (auto_kernel(self.hop1), auto_kernel(self.hop2))
 
     @cached_property
     def table(self) -> TermTable:
         """CDF term table of a CSI-assisted or fixed-gain AF link."""
         k1, k2 = self.require_kernels()
         lam1, lam2 = np.asarray(k1.rate), np.asarray(k2.rate)
-        if isinstance(self.link.protocol, CsiAf):
+        if isinstance(self.protocol, CsiAf):
             index = _csi_index(k1.power, k2.power)
             lam1, lam2 = lam1[index.t1], lam2[index.t2]
             return TermTable.merged(index, k1, k2, lam1 + lam2, lam1 * lam2)
-        if isinstance(self.link.protocol, FixedAf):
+        if isinstance(self.protocol, FixedAf):
             index = _fixed_index(k1.power, k2.power)
             lam1, lam2 = lam1[index.t1], lam2[index.t2]
             return TermTable.merged(index, k1, k2, lam1,
@@ -330,10 +331,9 @@ class LinkPlan:
         sums (an upper bound on the bound route), quadrature on the
         numeric route."""
         if self.kernels is None:
-            return _oracle_cdf(self.link, self.gain, x)
-        if np.any(x < 0.0):
-            raise ValueError(f"cdf needs x >= 0, got {x.min()}")
-        (k1, k2), proto = self.kernels, self.link.protocol
+            return cdf_numeric(self, x)
+        _check_x(x)
+        (k1, k2), proto = self.kernels, self.protocol
         xp = x[x > 0.0]
         if isinstance(proto, CsiAf):
             val = (k2.mass + (k1.mass - 1.0) * kernel_ccdf(k2, xp)
@@ -349,27 +349,26 @@ class LinkPlan:
         out[x > 0.0] = np.clip(val, 0.0, 1.0)
         return out
 
-    def outage(self, gamma_th: float) -> float:
-        """Outage probability P[end-to-end SNR < gamma_th]."""
-        if gamma_th <= 0.0:
-            raise ValueError(f"gamma_th must be positive, got {gamma_th}")
-        return self.cdf(gamma_th)
+
+def _check_x(x: np.ndarray) -> None:
+    if not np.all(x >= 0.0):   # false at a NaN too
+        raise ValueError(f"cdf needs x >= 0, got {x[~(x >= 0.0)][0]}")
 
 
 def link_mode(link: RelayLink) -> str:
     """Which CDF route the link supports: 'closed', 'bound' or 'numeric'."""
-    return LinkPlan(link).mode
+    return link.mode
 
 
 def cdf(link: RelayLink, x: float) -> float:
     """Closed-form CDF (an upper bound in the bound regime);
     IntegerConditionError when a hop fails the integer conditions."""
-    plan = LinkPlan(link)
-    plan.require_kernels()
-    return plan.cdf(x)
+    link.require_kernels()
+    return link.cdf(x)
 
 
-def cdf_numeric(link: RelayLink, x: float) -> float:
+@_elementwise
+def cdf_numeric(link: RelayLink, x):
     """Reference CDF from the defining single integrals, valid for any
     real channel parameters.
 
@@ -394,13 +393,30 @@ def cdf_numeric(link: RelayLink, x: float) -> float:
     per-hop statistics come through the incomplete-Gamma (non-reduced)
     routes, so this path shares no algebra with the closed-form sums.
     """
-    return _oracle_cdf(link, _oracle_gain(link), x)
-
-
-def _oracle_gain(link: RelayLink) -> float | None:
-    """The fixed gain of a fixed-gain AF link, as its LinkPlan resolves
-    it; None for the other protocols."""
-    return LinkPlan(link).gain if isinstance(link.protocol, FixedAf) else None
+    _check_x(x)
+    h1, h2 = link.hop1, link.hop2
+    if isinstance(link.protocol, Df):
+        val = 1.0 - snr_ccdf_general(h1, x) * snr_ccdf_general(h2, x)
+        return np.clip(val, 0.0, 1.0)
+    gain = link.gain
+    lo, hi = _density_window(h2)
+    h = _step(h1, h2)
+    val = np.zeros(x.shape)
+    for i in np.flatnonzero(x):
+        v = float(x[i])
+        if isinstance(link.protocol, FixedAf):
+            val[i] = _trapezoid(
+                lambda y: ((1.0 - snr_ccdf_general(h1, v + gain * v / y))
+                           * snr_pdf(h2, y)), lo, hi, h)
+            continue
+        # ln z of z = x (x + q), formed so that huge x cannot overflow
+        log_z = math.log(v) + math.log(v + link.protocol.q)
+        lo_v = max(math.log(v) - 40.0,
+                   math.log(_slowest_rate(h1)) + log_z - math.log(800.0))
+        val[i] = 1.0 - (_trapezoid(
+            lambda y: (snr_ccdf_general(h1, v + np.exp(log_z - np.log(y)))
+                       * snr_pdf(h2, v + y)), lo_v, hi, h) if lo_v < hi else 0.0)
+    return np.clip(val, 0.0, 1.0)
 
 
 def _slowest_rate(hop: HopChannel) -> float:
@@ -445,38 +461,9 @@ def _trapezoid(fn, lo: float, hi: float, h: float, rest=None) -> float:
     return h * total
 
 
-@_elementwise
-def _oracle_cdf(link: RelayLink, gain: float | None, x):
-    """cdf_numeric elementwise on an array of x, with the fixed gain
-    resolved by the caller, so that callers evaluating many x resolve it
-    once."""
-    if np.any(x < 0.0):
-        raise ValueError(f"cdf needs x >= 0, got {x.min()}")
-    h1, h2 = link.hop1, link.hop2
-    if isinstance(link.protocol, Df):
-        val = 1.0 - snr_ccdf_general(h1, x) * snr_ccdf_general(h2, x)
-        return np.clip(val, 0.0, 1.0)
-    lo, hi = _density_window(h2)
-    h = _step(h1, h2)
-    val = np.zeros(x.shape)
-    for i in np.flatnonzero(x):
-        v = float(x[i])
-        if isinstance(link.protocol, FixedAf):
-            val[i] = _trapezoid(
-                lambda y: ((1.0 - snr_ccdf_general(h1, v + gain * v / y))
-                           * snr_pdf(h2, y)), lo, hi, h)
-            continue
-        # ln z of z = x (x + q), formed so that huge x cannot overflow
-        log_z = math.log(v) + math.log(v + link.protocol.q)
-        lo_v = max(math.log(v) - 40.0,
-                   math.log(_slowest_rate(h1)) + log_z - math.log(800.0))
-        val[i] = 1.0 - (_trapezoid(
-            lambda y: (snr_ccdf_general(h1, v + np.exp(log_z - np.log(y)))
-                       * snr_pdf(h2, v + y)), lo_v, hi, h) if lo_v < hi else 0.0)
-    return np.clip(val, 0.0, 1.0)
-
-
 def outage(link: RelayLink, gamma_th: float) -> float:
     """Outage probability P[end-to-end SNR < gamma_th]: the closed form,
     or quadrature when the integer conditions fail."""
-    return LinkPlan(link).outage(gamma_th)
+    if not gamma_th > 0.0:
+        raise ValueError(f"gamma_th must be positive, got {gamma_th}")
+    return link.cdf(gamma_th)

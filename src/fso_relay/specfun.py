@@ -52,6 +52,14 @@ def _elementwise(fn):
     return on_array
 
 
+def _exp_fsum(logs: np.ndarray):
+    """math.fsum of exp(logs): the sum of a 1-D array, the list of row sums
+    of a 2-D one.  fsum is correctly rounded, so a row's sum depends on no
+    other row and on no order of its terms."""
+    rows = np.exp(logs).tolist()
+    return math.fsum(rows) if logs.ndim == 1 else [math.fsum(r) for r in rows]
+
+
 def _gamma_cf_array(a: float, x: np.ndarray) -> np.ndarray:
     """Modified Lentz continued fraction h with Gamma(a, x) = e^{-x} x^a h,
     elementwise on a 1-D array, iterated under a mask: each element stops

@@ -205,7 +205,7 @@ class TestFailureContext:
     """A numerical failure in any subcommand names its point and protocol."""
 
     @pytest.mark.parametrize("command,target", [
-        (["aber", "--gamma-bar-db", "0"], "plan_aber"),
+        (["aber", "--gamma-bar-db", "0"], "aber"),
         (["verify", "--samples", "10000"], "cdf_numeric"),
     ], ids=["aber", "verify"])
     def test_point_and_protocol_named(self, unit_scenario, monkeypatch, capsys,
@@ -246,6 +246,28 @@ class TestScenarioValidation:
         assert cli.main(["sweep", "--config", path]) == 2
         _, err = capsys.readouterr()
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv,patch", [
+        (["outage", "--gamma-bar-db", "nan"], {}),
+        (["outage", "--gamma-bar-db", "inf"], {}),
+        (["outage", "--gamma-bar-db", "0", "--gamma-th-db", "nan"], {}),
+        (["outage", "--gamma-bar-db", "0"], {"gamma_th_db": float("nan")}),
+        (["sweep"], {"gamma_th_db": float("inf")}),
+        (["cdf", "--gamma-bar-db", "0", "--x-db", "nan,inf"], {}),
+        (["cdf", "--gamma-bar-db", "0", "--x-db", "0,nan"], {}),
+        (["aber", "--gamma-bar-db", "0"],
+         {"modulation": {"P": float("nan"), "Q": 1.0}}),
+        (["sweep"], {"sweep": {"start_db": 0.0, "stop_db": float("inf")}}),
+    ], ids=["gamma-bar-nan", "gamma-bar-inf", "gamma-th-flag-nan",
+            "gamma-th-json-nan", "gamma-th-json-inf", "x-db-nan-inf",
+            "x-db-nan", "modulation-nan", "sweep-inf"])
+    def test_non_finite_exit_2(self, tmp_path, argv, patch, capsys):
+        """NaN and infinity, as flags or as the JSON literals, exit 2 with
+        a message instead of reaching the numbers."""
+        path = write_scenario(tmp_path, **patch)
+        assert cli.main([argv[0], "--config", path, *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
 
     @pytest.mark.parametrize("mc", [5, {"samples": None, "seed": 1}])
     def test_bad_mc_block_exit_2_in_verify(self, tmp_path, mc, capsys):

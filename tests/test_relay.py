@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ class TestFixedGain:
 
     def test_explicit_gain_respected(self):
         link = fr.RelayLink(unit_hop(), unit_hop(), fr.FixedAf(gain=3.0))
-        assert fr.LinkPlan(link).gain == 3.0
+        assert link.gain == 3.0
 
 
 class TestCsiCdf:
@@ -287,7 +288,7 @@ def _termwise_tail(link, x):
     the sums are written, without merging."""
     k1, k2 = fr.auto_kernel(link.hop1), fr.auto_kernel(link.hop2)
     if isinstance(link.protocol, fr.FixedAf):
-        u = fr.LinkPlan(link).gain
+        u = link.gain
     lg = math.lgamma
     binom = lambda n, k: lg(n + 1.0) - lg(k + 1.0) - lg(n - k + 1.0)
     terms = []
@@ -331,10 +332,9 @@ class TestLinkPlan:
         rounding of the tail sum."""
         link = fr.RelayLink(make_hop(5, 4, 1, 13.0), make_hop(4, 3, 1, 7.0),
                             proto)
-        plan = fr.LinkPlan(link)
         for x in (0.05, 0.7, 6.0):
             z = x * x + proto.q * x if isinstance(proto, fr.CsiAf) else x
-            assert plan.table.tail(x, z) == pytest.approx(
+            assert link.table.tail(x, z) == pytest.approx(
                 _termwise_tail(link, x), rel=1e-13)
 
     @pytest.mark.parametrize("xi_sq,route", [(1, "closed"), (2, "bound"),
@@ -345,25 +345,88 @@ class TestLinkPlan:
         """On an array, each x's CDF is the scalar call's bit for bit, on
         every route."""
         h = make_hop(4, 2, xi_sq, 10.0)
-        plan = fr.LinkPlan(fr.RelayLink(h, h, proto))
-        assert plan.mode == route
+        link = fr.RelayLink(h, h, proto)
+        assert link.mode == route
         x = np.geomspace(1e-6, 1e3, 36)
-        scalar = [plan.cdf(float(v)) for v in x]
+        scalar = [link.cdf(float(v)) for v in x]
         assert all(type(v) is float for v in scalar)
-        assert plan.cdf(x.reshape(6, 6)).ravel().tolist() == scalar
+        assert link.cdf(x.reshape(6, 6)).ravel().tolist() == scalar
 
     def test_routes_and_gain(self):
         h = make_hop(4, 2, 1, 10.0)
-        plan = fr.LinkPlan(fr.RelayLink(h, h, fr.FixedAf()))
-        assert plan.mode == "closed"
-        assert plan.gain == fr.fixed_gain(h)
-        assert plan.outage(1.0) == fr.outage(plan.link, 1.0)
+        link = fr.RelayLink(h, h, fr.FixedAf())
+        assert link.mode == "closed"
+        assert link.gain == fr.fixed_gain(h)
         hn = make_hop(2.9, 1.7, 0.8, 10.0)
-        numeric = fr.LinkPlan(fr.RelayLink(hn, hn, fr.CsiAf(0)))
+        numeric = fr.RelayLink(hn, hn, fr.CsiAf(0))
         assert numeric.mode == "numeric" and numeric.kernels is None
-        assert numeric.cdf(1.0) == fr.cdf_numeric(numeric.link, 1.0)
+        assert numeric.cdf(1.0) == fr.cdf_numeric(numeric, 1.0)
         with pytest.raises(IntegerConditionError):
             numeric.require_kernels()
+
+    def test_link_resolves_once(self, monkeypatch):
+        """Every evaluation of one link shares its kernels, term table and
+        gain: nine calls build two kernels, one table and one gain."""
+        calls = {"kernel": 0, "table": 0, "gain": 0}
+
+        def counted(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(relay, "auto_kernel",
+                            counted("kernel", relay.auto_kernel))
+        monkeypatch.setattr(relay.TermTable, "merged", classmethod(
+            counted("table", relay.TermTable.merged.__func__)))
+        monkeypatch.setattr(relay, "_gain_from_kernel",
+                            counted("gain", relay._gain_from_kernel))
+        h = make_hop(8, 6, 1, 10.0)
+        link = fr.RelayLink(h, h, fr.FixedAf())
+        cfg = fr.McConfig(samples=10_000, seed=1)
+        fr.cdf(link, 1.0)
+        fr.cdf_numeric(link, 1.0)
+        fr.aber_fixed(link, fr.BPSK)
+        fr.aber_quadrature(link, fr.BPSK)
+        fr.outage(link, 1.0)
+        fr.aber(link, fr.BPSK)
+        fr.link_mode(link)
+        fr.estimate_outage(link, 1.0, cfg)
+        fr.estimate_aber(link, fr.BPSK, cfg)
+        assert calls == {"kernel": 2, "table": 1, "gain": 1}
+
+    def test_gain_rule_on_asymmetric_links(self):
+        """The fixed gain comes from hop 1's kernel whenever hop 1 has
+        one, even when hop 2 puts the link on the numeric route.  At 0 dB
+        the two gains of the closed hop differ in the last bits."""
+        closed, numeric = make_hop(4, 2, 1, 0.0), make_hop(4, 2, 1.5, 0.0)
+        assert fr.fixed_gain(closed) != fr.fixed_gain_numeric(closed)
+        link = fr.RelayLink(closed, numeric, fr.FixedAf())
+        assert link.mode == "numeric"
+        assert link.gain == fr.fixed_gain(closed)
+        link = fr.RelayLink(numeric, closed, fr.FixedAf())
+        assert link.mode == "numeric"
+        assert link.gain == fr.fixed_gain_numeric(numeric)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_parameters_rejected(self, bad):
+        for build in (lambda: fr.Pointing(xi_sq=bad, a0=1.0),
+                      lambda: replace(unit_hop(), gamma_bar=bad),
+                      lambda: fr.Modulation(bad, 1.0),
+                      lambda: fr.Modulation(0.5, bad),
+                      lambda: fr.FixedAf(gain=bad)):
+            with pytest.raises(ValueError):
+                build()
+
+    @pytest.mark.parametrize("xi_sq", [1.0, 1.5])
+    def test_nan_x_rejected(self, xi_sq):
+        h = make_hop(4, 2, xi_sq, 10.0)
+        link = fr.RelayLink(h, h, fr.CsiAf(0))
+        for fn in (link.cdf, partial(fr.cdf_numeric, link)):
+            with pytest.raises(ValueError, match="x >= 0"):
+                fn(np.array([1.0, math.nan]))
 
 
 class TestOutage:
