@@ -69,7 +69,8 @@ class HopSpec:
     gamma_bar_offset_db: float = 0.0
 
     def at(self, gamma_bar_db: float) -> HopChannel:
-        g = 10.0 ** ((gamma_bar_db + self.gamma_bar_offset_db) / 10.0)
+        g = _linear(gamma_bar_db + self.gamma_bar_offset_db,
+                    "--gamma-bar-db plus the hop's gamma_bar_offset_db")
         return HopChannel(mg=self.mg, pointing=self.pointing, gamma_bar=g,
                           gg=self.gg)
 
@@ -86,7 +87,7 @@ class Scenario:
 
     @property
     def gamma_th(self) -> float:
-        return 10.0 ** (self.gamma_th_db / 10.0)
+        return _linear(self.gamma_th_db, "gamma_th_db")
 
 
 def _object(value, what: str) -> dict:
@@ -131,14 +132,26 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def _parse_x_db(text: str) -> tuple[float, ...]:
-    """Either comma-separated values or start:stop:step, all in dB."""
+def _linear(db: float, what: str) -> float:
+    """10^(dB/10), the one dB conversion; ScenarioError naming what unless
+    the dB value and the result are finite."""
+    try:
+        return 10.0 ** (_finite(db, what) / 10.0)
+    except OverflowError:
+        raise ScenarioError(f"{what} is out of range: {db} dB") from None
+
+
+def _parse_x_db(text: str) -> list[tuple[float, float]]:
+    """Either comma-separated values or start:stop:step, all in dB, as
+    (dB, linear) pairs."""
     if ":" not in text:
-        return tuple(_finite(float(t), "--x-db") for t in text.split(","))
-    parts = [float(t) for t in text.split(":")]
-    if len(parts) != 3:
-        raise ScenarioError(f"bad range {text!r}, want start:stop:step")
-    return _grid(*parts)
+        xs = [float(t) for t in text.split(",")]
+    else:
+        parts = [float(t) for t in text.split(":")]
+        if len(parts) != 3:
+            raise ScenarioError(f"bad range {text!r}, want start:stop:step")
+        xs = _grid(*parts)
+    return [(x, _linear(x, "--x-db")) for x in xs]
 
 
 def _parse_hop_spec(doc: dict) -> HopSpec:
@@ -184,10 +197,13 @@ def _parse_scenario(doc: dict) -> Scenario:
     mc = _object(doc.get("mc") or {}, "mc")
     mc = {key: int(mc[key]) for key in ("samples", "seed", "streams") if key in mc}
     gain = doc.get("fixed_gain")
+    gamma_th_db = float(doc.get("gamma_th_db", 0.0))
+    _linear(gamma_th_db, "gamma_th_db")
+    for spec in specs:   # the grid's top point on each hop
+        _linear(grid[-1] + spec.gamma_bar_offset_db,
+                "sweep stop_db plus the hop's gamma_bar_offset_db")
     return Scenario(hops=(specs[0], specs[-1]), protocols=protocols,
-                    modulation=modulation,
-                    gamma_th_db=_finite(float(doc.get("gamma_th_db", 0.0)),
-                                        "gamma_th_db"),
+                    modulation=modulation, gamma_th_db=gamma_th_db,
                     grid_db=grid, mc=mc,
                     fixed=FixedAf(None if gain is None else float(gain)))
 
@@ -214,7 +230,8 @@ def _scenario(args) -> Scenario:
         scenario.protocols = _protocols(
             p.strip() for p in args.protocol.split(",") if p.strip())
     if getattr(args, "gamma_th_db", None) is not None:
-        scenario.gamma_th_db = _finite(args.gamma_th_db, "--gamma-th-db")
+        _linear(args.gamma_th_db, "--gamma-th-db")
+        scenario.gamma_th_db = args.gamma_th_db
     return scenario
 
 
@@ -253,8 +270,12 @@ def _fmt(v) -> str:
 
 def _write(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ScenarioError(f"cannot write {out_path}: "
+                                f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -279,8 +300,7 @@ def cmd_fit(args) -> int:
 def cmd_pdf(args) -> int:
     scenario = load_scenario(args.config)
     hop = scenario.hops[args.hop - 1].at(args.gamma_bar_db)
-    rows = [[x_db, snr_pdf(hop, 10.0 ** (x_db / 10.0))]
-            for x_db in _parse_x_db(args.x_db)]
+    rows = [[x_db, snr_pdf(hop, x)] for x_db, x in _parse_x_db(args.x_db)]
     _write_rows(["x_db", "pdf"], rows, args.out)
     return EXIT_OK
 
@@ -290,8 +310,7 @@ def cmd_cdf(args) -> int:
     xs = _parse_x_db(args.x_db)
     rows = _point_rows(
         scenario, args.gamma_bar_db, scenario.protocols,
-        lambda g, proto, link: [[proto, x_db, link.cdf(10.0 ** (x_db / 10.0))]
-                                for x_db in xs])
+        lambda g, proto, link: [[proto, x_db, link.cdf(x)] for x_db, x in xs])
     _write_rows(["protocol", "x_db", "cdf", "method", "bound_regime"], rows,
                 args.out)
     return EXIT_OK

@@ -7,11 +7,11 @@ drawn from the Gamma-Gamma channel its mixture was fitted from when the
 hop records one (hop.gg), so the fit stays under test, and from the
 mixture otherwise.
 
-Determinism contract: samples are generated in fixed-size blocks, block
-b drawing from default_rng(SeedSequence(seed, spawn_key=(b,))), and the
-partial sums are reduced in block order with exact (fsum) accumulation.
-Estimates therefore depend only on (seed, samples) -- not on the stream
-count used to execute the blocks, nor on scheduling.
+Determinism contract (_blocked_reduce): samples are generated in blocks
+of 65,536, block b drawing from a default_rng seeded with the
+SeedSequence of (seed, spawn_key=(b,)), and the partial sums are reduced
+in block order with exact (fsum) accumulation.  Estimates therefore
+depend only on (seed, samples), not on the stream count or scheduling.
 
 The ABER estimator averages the smooth conditional kernel
 Gamma(P, Q*gamma) / (2 Gamma(P)) instead of flipping bits; that is the
@@ -109,16 +109,23 @@ def _end_to_end(link: RelayLink, gain, rng: np.random.Generator,
     return np.minimum(g1, g2)
 
 
-def _blocked_reduce(cfg: McConfig, block_fn):
-    """Run block_fn(block_index, block_size) over all blocks and reduce
-    the returned tuples componentwise in block order."""
+def _blocked_reduce(link: RelayLink, cfg: McConfig, stats):
+    """stats(g) of each block's end-to-end SNR draws g, reduced
+    componentwise in block order: the module's determinism contract."""
+    gain = link.gain   # resolved here, not in blocks that may run on threads
+
+    def block(b: int, size: int):
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed,
+                                                           spawn_key=(b,)))
+        return stats(_end_to_end(link, gain, rng, size))
+
     n_blocks = (cfg.samples + _BLOCK - 1) // _BLOCK
     sizes = [min(_BLOCK, cfg.samples - b * _BLOCK) for b in range(n_blocks)]
     if cfg.streams > 1:
         with ThreadPoolExecutor(max_workers=cfg.streams) as pool:
-            partials = list(pool.map(block_fn, range(n_blocks), sizes))
+            partials = list(pool.map(block, range(n_blocks), sizes))
     else:
-        partials = [block_fn(b, s) for b, s in zip(range(n_blocks), sizes)]
+        partials = [block(b, s) for b, s in enumerate(sizes)]
     return tuple(math.fsum(part[i] for part in partials)
                  for i in range(len(partials[0])))
 
@@ -128,15 +135,8 @@ def estimate_outage(link: RelayLink, gamma_th: float,
     """Outage estimate: indicator mean of {end-to-end SNR < gamma_th}."""
     if not gamma_th > 0.0:
         raise ValueError(f"gamma_th must be positive, got {gamma_th}")
-    gain = link.gain   # resolved here, not in blocks that may run on threads
-
-    def block(b: int, size: int):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed,
-                                                           spawn_key=(b,)))
-        g = _end_to_end(link, gain, rng, size)
-        return (float(np.count_nonzero(g < gamma_th)),)
-
-    (hits,) = _blocked_reduce(cfg, block)
+    (hits,) = _blocked_reduce(
+        link, cfg, lambda g: (float(np.count_nonzero(g < gamma_th)),))
     n = cfg.samples
     p_hat = hits / n
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / n)
@@ -158,16 +158,12 @@ def _conditional_ber(mod: Modulation, g: np.ndarray) -> np.ndarray:
 def estimate_aber(link: RelayLink, mod: Modulation,
                   cfg: McConfig) -> Estimate:
     """ABER estimate: sample mean of Gamma(P, Q*gamma) / (2 Gamma(P))."""
-    gain = link.gain
 
-    def block(b: int, size: int):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed,
-                                                           spawn_key=(b,)))
-        g = _end_to_end(link, gain, rng, size)
+    def stats(g: np.ndarray):
         kern = _conditional_ber(mod, g)
         return (float(kern.sum()), float(np.square(kern).sum()))
 
-    total, total_sq = _blocked_reduce(cfg, block)
+    total, total_sq = _blocked_reduce(link, cfg, stats)
     n = cfg.samples
     mean = total / n
     var = max(0.0, total_sq / n - mean * mean)

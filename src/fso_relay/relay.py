@@ -373,25 +373,15 @@ def cdf_numeric(link: RelayLink, x):
     real channel parameters.
 
     The semi-infinite integration variable is substituted y = e^u and the
-    integral over u summed by the trapezoidal rule, whose error falls off
-    exponentially in 1/h for these analytic integrands.  With lam_j the
-    slowest decay rate min_i c_i/S_j of hop j's density, the window in u
-    ends at ln(800/lam_2), where hop 2's density has decayed by e^{-800}.
-    Where it starts depends on the protocol:
-
-    * fixed gain: at ln(S_2/max_i c_i) - 40/m, m = min(xi_2^2, min_i b_i).
-      Near 0 the density of a component goes like y^{min(xi^2, b_i) - 1}
-      on the scale S/c_i, so hop 2's mass below the edge is under about
-      e^{-40}; the integrand there is about that density.
-    * CSI-assisted, with z = x (x + q): at the larger of ln x - 40 and
-      ln(lam_1 z/800).  Below y = x e^{-40} hop 2's density at x + y is
-      flat, so the part cut off is about e^{-40} x pdf_2(x); below
-      y = lam_1 z/800 hop 1's CCDF at z/y is under e^{-800}.
-
-    The step is 0.2, or 0.6 of the narrowest peak width
-    1/sqrt(max b_i) over both hops' mixture shapes if smaller.  The
-    per-hop statistics come through the incomplete-Gamma (non-reduced)
-    routes, so this path shares no algebra with the closed-form sums.
+    integral over u summed by the trapezoidal rule at _step, whose error
+    falls off exponentially in 1/h for these analytic integrands, over
+    hop 2's _density_window.  CSI-assisted, with z = x (x + q), the window
+    starts at the larger of ln x - 40 and ln(lam_1 z/800), lam_1 hop 1's
+    slowest decay rate: below y = x e^{-40} hop 2's density at x + y is
+    flat, so the part cut off is about e^{-40} x pdf_2(x); below
+    y = lam_1 z/800 hop 1's CCDF at z/y is under e^{-800}.  The per-hop
+    statistics come through the incomplete-Gamma (non-reduced) routes, so
+    this path shares no algebra with the closed-form sums.
     """
     _check_x(x)
     h1, h2 = link.hop1, link.hop2
@@ -426,8 +416,12 @@ def _slowest_rate(hop: HopChannel) -> float:
 
 def _density_window(hop: HopChannel,
                     depth: float = 40.0) -> tuple[float, float]:
-    """u-range of y = e^u outside which the hop's density has mass below
-    about e^{-depth} resp. decays below e^{-800}; see cdf_numeric."""
+    """u-range of y = e^u holding the hop's density.  It ends at
+    ln(800/lam), lam = min_i c_i/S the slowest decay rate, where the
+    density has decayed by e^{-800}, and starts at
+    ln(S/max_i c_i) - depth/m, m = min(xi^2, min_i b_i): near 0 a
+    component's density goes like y^{min(xi^2, b_i) - 1} on the scale
+    S/c_i, so the mass below the start is under about e^{-depth}."""
     _, b, c = zip(*hop.mg.terms)
     m = min(hop.pointing.xi_sq, min(b))
     return (math.log(hop.kernel_scale / max(c)) - depth / m,

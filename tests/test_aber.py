@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import gammainc, gammaincc
 
 import fso_relay as fr
 from fso_relay import relay
@@ -36,13 +37,27 @@ class TestModulation:
 
 class TestKernelQuadrature:
     def test_always_outage_gives_half(self):
-        assert fr.aber_from_cdf(lambda z: 1.0, fr.BPSK) == pytest.approx(
-            0.5, rel=1e-9)
-        assert fr.aber_from_cdf(lambda z: 1.0, fr.DPSK) == pytest.approx(
-            0.5, rel=1e-9)
+        assert fr.aber_from_cdf(lambda z: 1.0, fr.BPSK, 0.2,
+                                None) == pytest.approx(0.5, rel=1e-9)
+        assert fr.aber_from_cdf(lambda z: 1.0, fr.DPSK, 0.2,
+                                None) == pytest.approx(0.5, rel=1e-9)
 
     def test_never_outage_gives_zero(self):
-        assert fr.aber_from_cdf(lambda z: 0.0, fr.BPSK) == 0.0
+        assert fr.aber_from_cdf(lambda z: 0.0, fr.BPSK, 0.2, None) == 0.0
+
+    @pytest.mark.parametrize("h", [0.2, 0.05])
+    def test_rule_at_callers_step(self, h):
+        """The unit DF channel's Exp(2) CDF at a link's step and finer."""
+        val = fr.aber_from_cdf(lambda z: -np.expm1(-2.0 * z), fr.BPSK, h)
+        assert val == pytest.approx(ABER_DF_UNIT, rel=1e-14)
+
+    def test_rule_with_corner(self):
+        """F = min(1, z/0.7) reaches 1 with a corner at the kink 0.7: the
+        kernel integrates z/0.7 below it and 1 above it."""
+        val = fr.aber_from_cdf(lambda z: np.minimum(1.0, z / 0.7), fr.BPSK,
+                               0.2, 0.7)
+        exact = 0.5 * (0.5 * gammainc(1.5, 0.7) / 0.7 + gammaincc(0.5, 0.7))
+        assert val == pytest.approx(exact, rel=1e-14)
 
     def test_df_unit_channel(self):
         """Exp(2) end-to-end SNR under the coherent binary kernel."""

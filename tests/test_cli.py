@@ -258,12 +258,25 @@ class TestScenarioValidation:
         (["aber", "--gamma-bar-db", "0"],
          {"modulation": {"P": float("nan"), "Q": 1.0}}),
         (["sweep"], {"sweep": {"start_db": 0.0, "stop_db": float("inf")}}),
+        (["outage", "--gamma-bar-db", "5000"], {}),
+        (["cdf", "--gamma-bar-db", "0", "--x-db", "4000"], {}),
+        (["pdf", "--gamma-bar-db", "0", "--x-db", "4000"], {}),
+        (["outage", "--gamma-bar-db", "0", "--gamma-th-db", "4000"], {}),
+        (["sweep"], {"gamma_th_db": 5000}),
+        (["sweep"], {"hops": [{"mg": {"terms": [[1.0, 2.0, 1.0]]},
+                               "xi_sq": 1.0, "A0": 1.0,
+                               "gamma_bar_offset_db": 5000}]}),
+        (["sweep"], {"sweep": {"start_db": 0.0, "stop_db": 5000}}),
     ], ids=["gamma-bar-nan", "gamma-bar-inf", "gamma-th-flag-nan",
             "gamma-th-json-nan", "gamma-th-json-inf", "x-db-nan-inf",
-            "x-db-nan", "modulation-nan", "sweep-inf"])
+            "x-db-nan", "modulation-nan", "sweep-inf", "gamma-bar-overflow",
+            "x-db-overflow", "pdf-x-db-overflow", "gamma-th-flag-overflow",
+            "gamma-th-json-overflow", "offset-json-overflow",
+            "sweep-overflow"])
     def test_non_finite_exit_2(self, tmp_path, argv, patch, capsys):
-        """NaN and infinity, as flags or as the JSON literals, exit 2 with
-        a message instead of reaching the numbers."""
+        """NaN, infinity and dB values whose linear value overflows, as
+        flags or in the JSON, exit 2 with a message instead of reaching
+        the numbers."""
         path = write_scenario(tmp_path, **patch)
         assert cli.main([argv[0], "--config", path, *argv[1:]]) == 2
         out, err = capsys.readouterr()
@@ -289,6 +302,15 @@ class TestScenarioValidation:
         assert time.perf_counter() - started < 1.0
         _, err = capsys.readouterr()
         assert err.startswith("error: ")
+
+    def test_unwritable_out_exit_2(self, unit_scenario, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        for argv in (["fit", "--alpha", "4", "--beta", "2"],
+                     ["sweep", "--config", unit_scenario]):
+            assert cli.main([*argv, "--out", str(out)]) == 2
+            _, err = capsys.readouterr()
+            assert err.startswith(f"error: cannot write {out}: ")
+        assert not out.parent.exists()
 
     def test_top_level_list_exit_2(self, tmp_path, capsys):
         path = tmp_path / "list.json"

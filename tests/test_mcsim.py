@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import gammaincc
+from scipy.special import erfc, gammaincc
 
 import fso_relay as fr
 from fso_relay import mcsim
@@ -217,6 +217,38 @@ class TestDeterminism:
             link, 1.0, fr.McConfig(samples=200_000, seed=18, streams=s))
             for s in (1, 4, 16)]
         assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("streams", [1, 4])
+    def test_contract_rebuilt_from_draws(self, streams):
+        """Block b holds 65,536 samples drawn from
+        default_rng(SeedSequence(seed, spawn_key=(b,))) in the order hop-1
+        pointing, hop-1 fading, hop-2 pointing, hop-2 fading; the per-block
+        sums are reduced in block order with fsum."""
+        h1, h2 = make_hop(4, 2, 1, 10.0), make_hop(4, 2, 1, 13.0)
+        link = fr.RelayLink(h1, h2, fr.CsiAf(0))
+        n, seed, gamma_th = 100_000, 23, 10.0
+        hits, sums, squares = [], [], []
+        for b, size in enumerate((65_536, n - 65_536)):
+            rng = np.random.default_rng(np.random.SeedSequence(
+                seed, spawn_key=(b,)))
+            g1 = fr.sample_snr(h1, rng, size)
+            g2 = fr.sample_snr(h2, rng, size)
+            g = g1 * g2 / (g1 + g2)
+            hits.append(float(np.count_nonzero(g < gamma_th)))
+            kern = 0.5 * erfc(np.sqrt(g))
+            sums.append(float(kern.sum()))
+            squares.append(float(np.square(kern).sum()))
+        cfg = fr.McConfig(samples=n, seed=seed, streams=streams)
+
+        p_hat = math.fsum(hits) / n
+        out = fr.estimate_outage(link, gamma_th, cfg)
+        assert out.value == p_hat
+        assert out.std_err == math.sqrt(p_hat * (1.0 - p_hat) / n)
+        mean = math.fsum(sums) / n
+        est = fr.estimate_aber(link, fr.BPSK, cfg)
+        assert est.value == mean
+        assert est.std_err == math.sqrt(
+            (math.fsum(squares) / n - mean * mean) / n)
 
     def test_std_err_scales_with_sample_count(self):
         h = make_hop(4, 2, 1, 10.0)
