@@ -15,7 +15,6 @@ from .mgfit import (GammaGammaParams, MixtureGamma, fit_gamma_gamma,
                     gamma_gamma_pdf, mg_mean, mg_pdf, mg_sample)
 from .relay import (CsiAf, Df, FixedAf, RelayLink, cdf, cdf_numeric,
                     fixed_gain, fixed_gain_numeric, link_mode, outage)
-from .specfun import (bessel_k, gauss_2f1, gauss_laguerre,
-                      scaled_upper_inc_gamma, upper_inc_gamma)
+from .specfun import bessel_k, gauss_2f1, gauss_laguerre, upper_inc_gamma
 
 __version__ = "0.1.0"

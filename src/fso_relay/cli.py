@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -134,11 +135,14 @@ def _finite(value: float, what: str) -> float:
 
 def _linear(db: float, what: str) -> float:
     """10^(dB/10), the one dB conversion; ScenarioError naming what unless
-    the dB value and the result are finite."""
+    the dB value is finite and the result neither over- nor underflows."""
     try:
-        return 10.0 ** (_finite(db, what) / 10.0)
+        value = 10.0 ** (_finite(db, what) / 10.0)
+        if value > 0.0:
+            return value
     except OverflowError:
-        raise ScenarioError(f"{what} is out of range: {db} dB") from None
+        pass
+    raise ScenarioError(f"{what} is out of range: {db} dB")
 
 
 def _parse_x_db(text: str) -> list[tuple[float, float]]:
@@ -199,9 +203,10 @@ def _parse_scenario(doc: dict) -> Scenario:
     gain = doc.get("fixed_gain")
     gamma_th_db = float(doc.get("gamma_th_db", 0.0))
     _linear(gamma_th_db, "gamma_th_db")
-    for spec in specs:   # the grid's top point on each hop
-        _linear(grid[-1] + spec.gamma_bar_offset_db,
-                "sweep stop_db plus the hop's gamma_bar_offset_db")
+    for spec in specs:   # the grid's two ends on each hop
+        for key, end in (("start_db", grid[0]), ("stop_db", grid[-1])):
+            _linear(end + spec.gamma_bar_offset_db,
+                    f"sweep {key} plus the hop's gamma_bar_offset_db")
     return Scenario(hops=(specs[0], specs[-1]), protocols=protocols,
                     modulation=modulation, gamma_th_db=gamma_th_db,
                     grid_db=grid, mc=mc,
@@ -235,22 +240,19 @@ def _scenario(args) -> Scenario:
     return scenario
 
 
-def make_link(scenario: Scenario, proto: str, gamma_bar_db: float) -> RelayLink:
-    protocol = {"csi0": CsiAf(q=0), "csi1": CsiAf(q=1), "fixed": scenario.fixed,
-                "df": Df()}[proto]
-    return RelayLink(hop1=scenario.hops[0].at(gamma_bar_db),
-                     hop2=scenario.hops[1].at(gamma_bar_db), protocol=protocol)
-
-
 def _point_rows(scenario: Scenario, gamma_bar_db: float, protocols, values):
-    """Rows of one SNR point: one link per protocol, resolved once for all
-    of that protocol's rows from values(gamma_bar_db, proto, link), each
-    ended by method and bound_regime.  A numerical failure is re-raised
-    naming the point and the protocol."""
+    """Rows of one SNR point: the point's two hops, built once and shared
+    by one link per protocol, resolved once for all of that protocol's rows
+    from values(gamma_bar_db, proto, link), each ended by method and
+    bound_regime.  A numerical failure is re-raised naming the point and
+    the protocol."""
+    hop1, hop2 = (spec.at(gamma_bar_db) for spec in scenario.hops)
+    by_name = {"csi0": CsiAf(q=0), "csi1": CsiAf(q=1), "fixed": scenario.fixed,
+               "df": Df()}
     rows = []
     for proto in protocols:
         try:
-            link = make_link(scenario, proto, gamma_bar_db)
+            link = RelayLink(hop1, hop2, by_name[proto])
             rows += [[*row, link.mode, link.mode == "bound"]
                      for row in values(gamma_bar_db, proto, link)]
         except _NUMERICAL as exc:
@@ -266,6 +268,17 @@ def _fmt(v) -> str:
     if isinstance(v, float):
         return format(v, ".17e")
     return str(v)
+
+
+def _check_out(out_path: str) -> None:
+    """Fail before any computing when --out cannot be written: its folder
+    must exist and be writable, and it must not be a folder itself."""
+    folder = os.path.dirname(out_path) or "."
+    if os.path.isdir(out_path):
+        raise ScenarioError(f"cannot write {out_path}: it is a directory")
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK)):
+        raise ScenarioError(
+            f"cannot write {out_path}: {folder} is not a writable directory")
 
 
 def _write(text: str, out_path: str | None) -> None:
@@ -423,6 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out:
+            _check_out(args.out)
         return args.fn(args)
     except (ScenarioError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ Three per-hop densities are provided:
 The reduced/bound decomposition is packaged as an SnrKernel so that the
 relay and ABER layers can treat both regimes uniformly; kernels in the
 bound regime carry total mass > 1 and the consumers correct for it.
+HopChannel.kernel builds it once, for every link on the hop.
 The densities and tails are elementwise on arrays of x; a kernel sum is
 reduced with fsum per x, so a value does not depend on the other x.
 """
@@ -37,8 +38,7 @@ from scipy.special import gammaln
 
 from .errors import IntegerConditionError
 from .mgfit import GammaGammaParams, MixtureGamma, mg_mean
-from .specfun import (_elementwise, _exp_fsum, _power_scaled_gamma,
-                      upper_inc_gamma)
+from .specfun import _elementwise, _exp_fsum, _scaled_gamma, upper_inc_gamma
 
 _INT_TOL = 1e-9
 
@@ -110,6 +110,15 @@ class HopChannel:
         is exactly gamma_bar regardless of the deterministic loss.
         """
         return self.pointing.a0 * self.gamma_bar / mean_irradiance(self)
+
+    @cached_property
+    def kernel(self) -> SnrKernel | None:
+        """auto_kernel's kernel, built once, or None on the quadrature
+        route: the one place a hop's route is decided."""
+        try:
+            return auto_kernel(self)
+        except IntegerConditionError:
+            return None
 
 
 def mean_irradiance(hop: HopChannel) -> float:
@@ -238,8 +247,8 @@ def _upper_gamma_rows(shape: np.ndarray, shift: float, y: np.ndarray,
                       power: float = 0.0) -> np.ndarray:
     """y_ij^power Gamma(shape_i - shift, y_ij) for a column of shapes, one
     incomplete-Gamma call per distinct shape.  A non-positive order a is
-    taken as y^{power+a} (y^{-a} Gamma(a, y)), finite where Gamma(a, y)
-    alone overflows at small y."""
+    taken as y^{power+a} e^{-y} (e^y y^{-a} Gamma(a, y)), finite where
+    Gamma(a, y) alone overflows at small y."""
     out = np.empty_like(y)
     for b in np.unique(shape):
         rows = shape[:, 0] == b
@@ -248,7 +257,7 @@ def _upper_gamma_rows(shape: np.ndarray, shift: float, y: np.ndarray,
             out[rows] = np.exp(power * np.log(yr)) * upper_inc_gamma(a, yr)
         else:
             out[rows] = (np.exp((power + a) * np.log(yr))
-                         * _power_scaled_gamma(a, yr))
+                         * (np.exp(-yr) * _scaled_gamma(a, yr)))
     return out
 
 

@@ -7,11 +7,12 @@ Protocols and their end-to-end SNRs:
 * decode-forward:  min(g1, g2).
 
 For integer-condition hops the CDFs are finite sums over the per-hop
-kernel terms with Bessel-K factors.  A RelayLink resolves itself once,
-at first use: the route (closed, bound or numeric), both hop kernels,
-the fixed gain and the CDF term table.  The table's integer index
-structure depends only on the kernels' integer powers and is shared
-between links; only its rate-dependent columns are computed per link.
+kernel terms with Bessel-K factors, each hop's kernel built once by the
+hop.  A RelayLink resolves the rest once, at first use: the route
+(closed, bound or numeric), the fixed gain and the CDF term table.  The
+table's integer index structure depends only on the kernels' integer
+powers and is shared between links; only its rate-dependent columns are
+computed per link.
 At build time the terms that share (z-power, x-power, Bessel order,
 rate, Bessel scale) are merged, since their x-dependence is identical,
 and the Bessel factor is then evaluated once per distinct (order,
@@ -52,10 +53,9 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import IntegerConditionError
-from .hop import (HopChannel, SnrKernel, auto_kernel, kernel_ccdf,
+from .hop import (HopChannel, SnrKernel, kernel_ccdf, reduced_kernel,
                   snr_ccdf_general, snr_pdf)
-from .specfun import (_elementwise, _exp_fsum, log_bessel_k,
-                      scaled_upper_inc_gamma)
+from .specfun import _elementwise, _exp_fsum, _scaled_gamma, log_bessel_k
 
 _LN2 = math.log(2.0)
 # elements of the (x, term) grids of TermTable.tail, about 2 MB each
@@ -96,19 +96,20 @@ Protocol = CsiAf | FixedAf | Df
 
 def _gain_from_kernel(kern: SnrKernel) -> float:
     # U = 1 / E[1/(1+g)]; each expectation term is
-    # C Gamma(m) e^lam Gamma(1-m, lam), evaluated in scaled form since
-    # lam = c/S blows up at low SNR; one call per distinct power m.
+    # C Gamma(m) lam^{1-m} _scaled_gamma(1-m, lam), in logs since lam = c/S
+    # runs from tiny to huge with the SNR; one call per distinct power m.
     m, lam = np.asarray(kern.power, dtype=float), np.asarray(kern.rate)
     scaled = np.empty_like(lam)
     for power in np.unique(m):
-        scaled[m == power] = scaled_upper_inc_gamma(1.0 - power, lam[m == power])
+        scaled[m == power] = _scaled_gamma(1.0 - power, lam[m == power])
     return 1.0 / _exp_fsum(np.asarray(kern.log_coef) + gammaln(m)
-                           + np.log(scaled))
+                           + (1.0 - m) * np.log(lam) + np.log(scaled))
 
 
 def fixed_gain(hop1: HopChannel) -> float:
-    """Statistical AF gain U = 1 / E[1/(1+gamma_1)] in closed form."""
-    return _gain_from_kernel(auto_kernel(hop1))
+    """Statistical AF gain U = 1 / E[1/(1+gamma_1)] in closed form, from
+    hop 1's exact kernel; IntegerConditionError on any other hop."""
+    return _gain_from_kernel(reduced_kernel(hop1))
 
 
 def fixed_gain_numeric(hop1: HopChannel) -> float:
@@ -277,10 +278,8 @@ class RelayLink:
 
     @cached_property
     def kernels(self) -> tuple[SnrKernel, SnrKernel] | None:
-        try:
-            return auto_kernel(self.hop1), auto_kernel(self.hop2)
-        except IntegerConditionError:
-            return None
+        k1, k2 = self.hop1.kernel, self.hop2.kernel
+        return None if k1 is None or k2 is None else (k1, k2)
 
     @cached_property
     def mode(self) -> str:
@@ -292,26 +291,20 @@ class RelayLink:
     @cached_property
     def gain(self) -> float | None:
         """The protocol's own gain if set, else the closed gain from hop
-        1's kernel if it has one (whatever hop 2's route), else quadrature."""
+        1's exact kernel (whatever hop 2's route), else quadrature."""
         if not isinstance(self.protocol, FixedAf):
             return None
         if self.protocol.gain is not None:
             return self.protocol.gain
-        try:
-            k1 = self.kernels[0] if self.kernels else auto_kernel(self.hop1)
-        except IntegerConditionError:
-            return fixed_gain_numeric(self.hop1)
-        return _gain_from_kernel(k1)
-
-    def require_kernels(self) -> tuple[SnrKernel, SnrKernel]:
-        """Both hop kernels; on the numeric route the first failing hop
-        raises its IntegerConditionError."""
-        return self.kernels or (auto_kernel(self.hop1), auto_kernel(self.hop2))
+        k1 = self.hop1.kernel
+        if k1 is not None and k1.mode == "exact":
+            return _gain_from_kernel(k1)
+        return fixed_gain_numeric(self.hop1)
 
     @cached_property
     def table(self) -> TermTable:
         """CDF term table of a CSI-assisted or fixed-gain AF link."""
-        k1, k2 = self.require_kernels()
+        k1, k2 = self.kernels
         lam1, lam2 = np.asarray(k1.rate), np.asarray(k2.rate)
         if isinstance(self.protocol, CsiAf):
             index = _csi_index(k1.power, k2.power)
@@ -363,7 +356,9 @@ def link_mode(link: RelayLink) -> str:
 def cdf(link: RelayLink, x: float) -> float:
     """Closed-form CDF (an upper bound in the bound regime);
     IntegerConditionError when a hop fails the integer conditions."""
-    link.require_kernels()
+    if link.kernels is None:
+        raise IntegerConditionError("no kernel sums: a hop meets neither "
+                                    "the exact nor the bound conditions")
     return link.cdf(x)
 
 

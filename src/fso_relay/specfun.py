@@ -7,11 +7,11 @@ functions are used directly from scipy and math.  The pieces scipy does
 not provide are implemented here: the logarithm of the confluent U by
 the trapezoidal rule on its integral (scipy's hyperu is non-finite or
 inaccurate at some arguments the fixed-gain ABER needs), and the upper
-incomplete Gamma with non-positive first argument, its exponentially
-scaled variant and x^{-a} Gamma(a, x), which stays finite where
-Gamma(a, x) overflows at small x.  These take arrays of x only (a
-scalar x is a 0-d array and gives a float), so that the fixed gain and
-the quadrature oracle share one route.
+incomplete Gamma with non-positive first argument through one scaled
+form, e^x x^{-a} Gamma(a, x), which stays finite where Gamma(a, x)
+overflows at small x and underflows at large x.  These take arrays of x
+only (a scalar x is a 0-d array and gives a float), so that the fixed
+gain and the quadrature oracle share one route.
 Small arguments use the finite downward recurrence
 
     Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a
@@ -92,69 +92,44 @@ def _gamma_cf_array(a: float, x: np.ndarray) -> np.ndarray:
 @_elementwise
 def upper_inc_gamma(a: float, x):
     """Upper incomplete Gamma(a, x) for x > 0 and any real a, elementwise
-    on an array of x.
-
-    For a <= 0: continued fraction where x >= 2; below that the downward
-    recurrence from the first non-negative order (Gamma(0, x) = E_1(x)
-    seeds the integer ladder), whose step count depends only on a.  The
-    recurrence is avoided at large x where its subtraction cancels
-    catastrophically.
-    """
+    on an array of x; for a <= 0 it is e^{-x} x^a _scaled_gamma(a, x)."""
     if np.any(x <= 0.0):
         raise ValueError(f"upper_inc_gamma needs x > 0, got {x.min()}")
     if a > 0.0:
         return sp.gammaincc(a, x) * sp.gamma(a)
     # numpy's power is not elementwise-reproducible (its SIMD lanes and
     # its scalar tail round differently); exp and log are
-    return np.exp(a * np.log(x)) * _power_scaled_gamma(a, x)
+    return np.exp(a * np.log(x)) * (np.exp(-x) * _scaled_gamma(a, x))
 
 
 @_elementwise
-def _power_scaled_gamma(a: float, x: np.ndarray) -> np.ndarray:
-    """x^{-a} Gamma(a, x) for a <= 0, elementwise on an array of x > 0.
+def _scaled_gamma(a: float, x: np.ndarray) -> np.ndarray:
+    """e^x x^{-a} Gamma(a, x) for a <= 0, elementwise on an array of x > 0.
 
-    Tends to 1/(-a) as x -> 0 (grows like -ln x for a = 0), so it stays
-    finite where Gamma(a, x) overflows.  Continued fraction where x >= 2;
-    below that the downward recurrence scaled by x^{-order},
+    Finite for every x > 0: it tends to 1/(-a) as x -> 0 (grows like -ln x
+    for a = 0) and to 1/x as x grows, where Gamma(a, x) alone overflows
+    resp. underflows.  It is the continued fraction itself where x >= 2;
+    below that the downward recurrence
 
-        x^{-s} Gamma(s, x) = (x * x^{-(s+1)} Gamma(s+1, x) - e^{-x}) / s,
+        S_s = (x S_{s+1} - 1) / s,
 
-    whose steps depend only on a.
+    from the first non-negative order (Gamma(0, x) = E_1(x) seeds the
+    integer ladder), whose steps depend only on a.
     """
     out = np.empty_like(x)
     cf = x >= _CF_MIN_X
-    x_cf = x[cf]
-    out[cf] = np.exp(-x_cf) * _gamma_cf_array(a, x_cf)
+    out[cf] = _gamma_cf_array(a, x[cf])
     x_rec = x[~cf]
     order = a - math.floor(a)
     if order == 0.0:
-        g = sp.exp1(x_rec)
+        s = np.exp(x_rec) * sp.exp1(x_rec)
     else:
-        g = (np.exp(-order * np.log(x_rec))
+        s = (np.exp(x_rec - order * np.log(x_rec))
              * sp.gammaincc(order, x_rec) * sp.gamma(order))
-    decay = np.exp(-x_rec)
     while order > a + 0.5:
         order -= 1.0
-        g = (x_rec * g - decay) / order
-    out[~cf] = g
-    return out
-
-
-@_elementwise
-def scaled_upper_inc_gamma(a: float, x):
-    """e^x * Gamma(a, x) for x > 0, elementwise on an array of x; stable
-    for large x where e^x alone overflows.
-
-    Needed by the fixed-gain formula, whose terms are exactly of this
-    shape with x = c/(A0*gbar) growing like 1/SNR.  The continued fraction
-    serves x >= max(2, a + 2), upper_inc_gamma times e^x the rest.
-    """
-    if np.any(x <= 0.0):
-        raise ValueError(f"scaled_upper_inc_gamma needs x > 0, got {x.min()}")
-    out = np.empty_like(x)
-    cf = x >= max(_CF_MIN_X, a + 2.0)
-    out[cf] = np.exp(a * np.log(x[cf])) * _gamma_cf_array(a, x[cf])
-    out[~cf] = np.exp(x[~cf]) * upper_inc_gamma(a, x[~cf])
+        s = (x_rec * s - 1.0) / order
+    out[~cf] = s
     return out
 
 

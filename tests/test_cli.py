@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import fso_relay as fr
-from fso_relay import cli
+from fso_relay import cli, hop as hop_module
 
 UNIT_SCENARIO = {
     "schema": 1,
@@ -102,6 +102,21 @@ class TestSweep:
             assert float(point["df"]["aber"]) \
                 <= float(point["csi0"]["aber"]) + 1e-12 \
                 <= float(point["fixed"]["aber"]) + 2e-12
+
+    def test_point_builds_each_hop_kernel_once(self, tmp_path, monkeypatch,
+                                               capsys):
+        """The four protocols' links of one point share its two hops, so
+        the point builds two kernels, not one per hop and protocol."""
+        built = []
+        monkeypatch.setattr(hop_module, "auto_kernel",
+                            lambda hop, build=hop_module.auto_kernel:
+                            built.append(hop) or build(hop))
+        spec = {"alpha": 4, "beta": 2, "L": 10, "xi_sq": 1, "r_over_wz": 0.1}
+        path = write_scenario(
+            tmp_path, hops=[spec, {**spec, "gamma_bar_offset_db": 3.0}],
+            sweep={"start_db": 10.0, "stop_db": 10.0, "step_db": 5.0})
+        assert cli.main(["sweep", "--config", path]) == 0
+        assert len(built) == 2
 
     def test_empty_protocols_exit_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path, protocols=[])
@@ -282,6 +297,29 @@ class TestScenarioValidation:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv,patch,named", [
+        (["outage", "--gamma-bar-db", "-4000"], {}, "--gamma-bar-db"),
+        (["pdf", "--gamma-bar-db", "0", "--x-db", "-4000"], {}, "--x-db"),
+        (["cdf", "--gamma-bar-db", "0", "--x-db", "-4000"], {}, "--x-db"),
+        (["outage", "--gamma-bar-db", "0", "--gamma-th-db", "-4000"], {},
+         "--gamma-th-db"),
+        (["sweep"], {"gamma_th_db": -5000}, "gamma_th_db"),
+        (["sweep"], {"sweep": {"start_db": -5000, "stop_db": 0.0}},
+         "start_db"),
+        (["sweep"], {"hops": [{"mg": {"terms": [[1.0, 2.0, 1.0]]},
+                               "xi_sq": 1.0, "A0": 1.0,
+                               "gamma_bar_offset_db": -5000}]}, "start_db"),
+    ], ids=["gamma-bar", "pdf-x-db", "cdf-x-db", "gamma-th-flag",
+            "gamma-th-json", "sweep-start", "offset-json"])
+    def test_underflow_exit_2_naming_it(self, tmp_path, argv, patch, named,
+                                        capsys):
+        """A dB value whose linear value underflows to 0 exits 2 naming
+        its option or key, instead of reaching the numbers as 0."""
+        path = write_scenario(tmp_path, **patch)
+        assert cli.main([argv[0], "--config", path, *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and named in err
+
     @pytest.mark.parametrize("mc", [5, {"samples": None, "seed": 1}])
     def test_bad_mc_block_exit_2_in_verify(self, tmp_path, mc, capsys):
         path = write_scenario(tmp_path, mc=mc)
@@ -311,6 +349,21 @@ class TestScenarioValidation:
             _, err = capsys.readouterr()
             assert err.startswith(f"error: cannot write {out}: ")
         assert not out.parent.exists()
+
+    def test_unwritable_out_found_before_computing(self, unit_scenario,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+        """verify checks --out before its first estimate; a directory is
+        refused too."""
+        def boom(*args):
+            raise AssertionError("computed before checking --out")
+
+        monkeypatch.setattr(cli, "estimate_outage", boom)
+        for out in (tmp_path / "missing" / "x.csv", tmp_path):
+            assert cli.main(["verify", "--config", unit_scenario,
+                             "--out", str(out)]) == 2
+            _, err = capsys.readouterr()
+            assert err.startswith(f"error: cannot write {out}: ")
 
     def test_top_level_list_exit_2(self, tmp_path, capsys):
         path = tmp_path / "list.json"

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import quad
 
 import fso_relay as fr
-from fso_relay import relay
+from fso_relay import hop as hop_module, relay
 from fso_relay.errors import IntegerConditionError
 from helpers import make_hop, unit_hop
 
@@ -45,6 +45,20 @@ class TestFixedGain:
         hop = make_hop(4, 2, 1, 10.0)
         assert fr.fixed_gain_numeric(hop) == pytest.approx(
             fr.fixed_gain(hop), rel=1e-8)
+
+    @pytest.mark.parametrize("db", [0.0, 10.0, 30.0])
+    def test_bound_hop_takes_quadrature_gain(self, db):
+        """A bound kernel's mass is above 1, so a gain from it comes out
+        too small (0.748 against 1.686 at 0 dB, 50.3 against 293.5 at
+        30 dB): a bound hop 1 takes the quadrature gain, and fixed_gain
+        refuses it."""
+        hop = make_hop(4, 2, 2, db)
+        link = fr.RelayLink(hop, hop, fr.FixedAf())
+        assert link.mode == "bound"
+        assert link.gain == fr.fixed_gain_numeric(hop)
+        assert relay._gain_from_kernel(hop.kernel) < 0.9 * link.gain
+        with pytest.raises(IntegerConditionError):
+            fr.fixed_gain(hop)
 
     def test_explicit_gain_respected(self):
         link = fr.RelayLink(unit_hop(), unit_hop(), fr.FixedAf(gain=3.0))
@@ -362,11 +376,12 @@ class TestLinkPlan:
         assert numeric.mode == "numeric" and numeric.kernels is None
         assert numeric.cdf(1.0) == fr.cdf_numeric(numeric, 1.0)
         with pytest.raises(IntegerConditionError):
-            numeric.require_kernels()
+            fr.cdf(numeric, 1.0)
 
     def test_link_resolves_once(self, monkeypatch):
-        """Every evaluation of one link shares its kernels, term table and
-        gain: nine calls build two kernels, one table and one gain."""
+        """Every evaluation of one link shares its hops' kernels, its term
+        table and its gain: nine calls build two kernels, one table and one
+        gain."""
         calls = {"kernel": 0, "table": 0, "gain": 0}
 
         def counted(key, fn):
@@ -375,14 +390,14 @@ class TestLinkPlan:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(relay, "auto_kernel",
-                            counted("kernel", relay.auto_kernel))
+        monkeypatch.setattr(hop_module, "auto_kernel",
+                            counted("kernel", hop_module.auto_kernel))
         monkeypatch.setattr(relay.TermTable, "merged", classmethod(
             counted("table", relay.TermTable.merged.__func__)))
         monkeypatch.setattr(relay, "_gain_from_kernel",
                             counted("gain", relay._gain_from_kernel))
-        h = make_hop(8, 6, 1, 10.0)
-        link = fr.RelayLink(h, h, fr.FixedAf())
+        link = fr.RelayLink(make_hop(8, 6, 1, 10.0), make_hop(8, 6, 1, 10.0),
+                            fr.FixedAf())
         cfg = fr.McConfig(samples=10_000, seed=1)
         fr.cdf(link, 1.0)
         fr.cdf_numeric(link, 1.0)

@@ -14,7 +14,7 @@ from scipy import special
 from scipy.integrate import quad
 
 import fso_relay as fr
-from fso_relay.specfun import _log_hyperu, _power_scaled_gamma
+from fso_relay.specfun import _log_hyperu, _scaled_gamma
 
 from helpers import make_hop
 
@@ -103,24 +103,43 @@ class TestUpperIncGamma:
 
     @pytest.mark.parametrize("a", [-6.1, -2.5, -1.0, 0.0])
     def test_power_scaled_where_gamma_overflows(self, a):
-        """x^{-a} Gamma(a, x) stays finite down to x = 1e-300, where
+        """e^x x^{-a} Gamma(a, x) stays finite down to x = 1e-300, where
         Gamma(a, x) itself is far beyond the float range for a < 0."""
         mpmath = pytest.importorskip("mpmath")
         x = np.array([1e-300, 1e-120, 1e-10, 0.5, 1.9, 2.1, 50.0])
-        vals = _power_scaled_gamma(a, x)
+        vals = _scaled_gamma(a, x)
         with mpmath.workdps(40):
-            ref = [float(mpmath.mpf(v) ** -a * mpmath.gammainc(a, v))
-                   for v in x]
+            ref = [float(mpmath.exp(v) * mpmath.mpf(v) ** -a
+                         * mpmath.gammainc(a, v)) for v in x]
         np.testing.assert_allclose(vals, ref, rtol=1e-13, atol=0.0)
 
 
 class TestScaledUpperIncGamma:
-    @pytest.mark.parametrize("a", [0.7, 0.0, -0.5, -3.0, 1.0, -6.2])
+    """_scaled_gamma, e^x x^{-a} Gamma(a, x) for a <= 0: the one route of
+    the negative orders, for upper_inc_gamma, the exact PDF and CCDF, and
+    the fixed gain."""
+
+    @pytest.mark.parametrize("a", [0.0, -0.5, -3.0, -6.2])
     def test_matches_direct_product_moderate_x(self, a):
+        mpmath = pytest.importorskip("mpmath")
         for x in (0.5, 5.0, 50.0, 400.0):
-            direct = math.exp(x) * fr.upper_inc_gamma(a, x)
-            assert fr.scaled_upper_inc_gamma(a, x) == pytest.approx(
-                direct, rel=1e-9)
+            with mpmath.workdps(30):
+                direct = float(mpmath.exp(x) * mpmath.mpf(x) ** -a
+                               * mpmath.gammainc(a, x))
+            assert _scaled_gamma(a, x) == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("a", [-6.2, -4.5, -3.0, -2.5, -1.0, -0.5, 0.0])
+    def test_matches_mpmath(self, a):
+        """Within 1e-13 of 40 digits from x = 1e-300 to 5e4, through the
+        recurrence below x = 2 and the continued fraction from there."""
+        mpmath = pytest.importorskip("mpmath")
+        x = np.concatenate([np.geomspace(1e-300, 5e4, 61),
+                            [1.9, 1.99, 1.999999, 2.0, 2.000001, 2.01, 2.1]])
+        with mpmath.workdps(40):
+            ref = [float(mpmath.exp(v) * mpmath.mpf(v) ** -a
+                         * mpmath.gammainc(a, v)) for v in x]
+        np.testing.assert_allclose(_scaled_gamma(a, x), ref, rtol=1e-13,
+                                   atol=0.0)
 
     @pytest.mark.parametrize("a,x,expected", [
         # straddles the recurrence/continued-fraction switchover at x=2
@@ -137,14 +156,15 @@ class TestScaledUpperIncGamma:
         (-4.5, 5.20249557731695316e-16),
     ])
     def test_large_x_reference(self, a, expected):
-        assert fr.scaled_upper_inc_gamma(a, 600.0) == pytest.approx(
+        """e^x Gamma(a, x) at x = 600, where Gamma(a, x) is near 1e-262."""
+        assert math.exp(600.0) * fr.upper_inc_gamma(a, 600.0) == pytest.approx(
             expected, rel=1e-10)
 
     def test_huge_argument_asymptotic(self):
         # e^x Gamma(a, x) -> x^{a-1} (1 + (a-1)/x + ...)
         a, x = -2.0, 5e4
         lead = x ** (a - 1.0) * (1.0 + (a - 1.0) / x)
-        assert fr.scaled_upper_inc_gamma(a, x) == pytest.approx(lead, rel=1e-6)
+        assert x ** a * _scaled_gamma(a, x) == pytest.approx(lead, rel=1e-6)
 
 
 class TestBesselK:
