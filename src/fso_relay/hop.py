@@ -43,11 +43,21 @@ from .specfun import _elementwise, _exp_fsum, _scaled_gamma, upper_inc_gamma
 _INT_TOL = 1e-9
 
 
-def _as_positive_int(value: float, what: str) -> int:
-    rounded = round(value)
-    if abs(value - rounded) > _INT_TOL or rounded < 1:
-        raise IntegerConditionError(f"{what} must be a positive integer, got {value}")
-    return int(rounded)
+def _is_int(value: float, least: int) -> bool:
+    return abs(value - round(value)) <= _INT_TOL and round(value) >= least
+
+
+def _route(hop: HopChannel) -> str | None:
+    """'exact' when xi^2 and every b_i - xi^2 are positive integers,
+    'bound' when every b_i is an integer >= 2 and b_i - xi^2 <= 0, None
+    (the quadrature route) otherwise."""
+    xi2 = hop.pointing.xi_sq
+    shapes = [b for _, b, _ in hop.mg.terms]
+    if _is_int(xi2, 1) and all(_is_int(b - round(xi2), 1) for b in shapes):
+        return "exact"
+    if all(_is_int(b, 2) and b - xi2 <= _INT_TOL for b in shapes):
+        return "bound"
+    return None
 
 
 def pointing_loss(r: float, w_z: float) -> float:
@@ -114,11 +124,8 @@ class HopChannel:
     @cached_property
     def kernel(self) -> SnrKernel | None:
         """auto_kernel's kernel, built once, or None on the quadrature
-        route: the one place a hop's route is decided."""
-        try:
-            return auto_kernel(self)
-        except IntegerConditionError:
-            return None
+        route: the one kernel every caller of the hop sees."""
+        return None if _route(self) is None else auto_kernel(self)
 
 
 def mean_irradiance(hop: HopChannel) -> float:
@@ -130,19 +137,12 @@ def mean_irradiance(hop: HopChannel) -> float:
 def xi_coeff(hop: HopChannel, i: int, k: int) -> float:
     """Coefficient of the x^{xi^2+k-1} e^{-c_i x / S} kernel in the
     reduced PDF. Requires xi^2 and b_i - xi^2 to be positive integers."""
-    a, b, c = hop.mg.terms[i]
-    xi2 = _as_positive_int(hop.pointing.xi_sq, "xi^2")
-    span = _as_positive_int(b - xi2, f"b_{i} - xi^2")
-    if not 0 <= k <= span - 1:
-        raise ValueError(f"k must lie in 0..{span - 1}, got {k}")
-    return math.exp(_log_xi_coeff(a, b, c, xi2, k, hop.kernel_scale))
-
-
-def _log_xi_coeff(a: float, b: float, c: float, xi2: int, k: int,
-                  scale: float) -> float:
-    return (math.log(a) + (xi2 - b + k) * math.log(c) + math.log(xi2)
-            + gammaln(b - xi2) - gammaln(k + 1.0)
-            - (xi2 + k) * math.log(scale))
+    kern = reduced_kernel(hop)
+    # term i holds b_i - xi^2 kernels, the lowest power being xi^2
+    spans = [round(b) - kern.power[0] for _, b, _ in hop.mg.terms]
+    if not 0 <= k <= spans[i] - 1:
+        raise ValueError(f"k must lie in 0..{spans[i] - 1}, got {k}")
+    return math.exp(kern.log_coef[sum(spans[:i]) + k])
 
 
 @dataclass(frozen=True)
@@ -181,60 +181,52 @@ class SnrKernel:
         return log_coef, r, rate
 
 
+def _routed_kernel(hop: HopChannel, mode: str) -> SnrKernel:
+    if hop.kernel is None or hop.kernel.mode != mode:
+        raise IntegerConditionError(
+            f"no {mode} kernel for xi^2 = {hop.pointing.xi_sq} and fading "
+            f"shapes {[t[1] for t in hop.mg.terms]}")
+    return hop.kernel
+
+
 def reduced_kernel(hop: HopChannel) -> SnrKernel:
-    """Exact kernel decomposition; raises IntegerConditionError unless
-    xi^2 and every b_i - xi^2 are positive integers."""
-    xi2 = _as_positive_int(hop.pointing.xi_sq, "xi^2")
-    scale = hop.kernel_scale
-    log_coef: list[float] = []
-    power: list[int] = []
-    rate: list[float] = []
-    for i, (a, b, c) in enumerate(hop.mg.terms):
-        span = _as_positive_int(b - xi2, f"b_{i} - xi^2")
-        lam = c / scale
-        for k in range(span):
-            log_coef.append(_log_xi_coeff(a, b, c, xi2, k, scale))
-            power.append(xi2 + k)
-            rate.append(lam)
-    return SnrKernel(tuple(log_coef), tuple(power), tuple(rate), "exact")
+    """The hop's exact kernel, or IntegerConditionError on another route."""
+    return _routed_kernel(hop, "exact")
 
 
 def bound_kernel(hop: HopChannel) -> SnrKernel:
-    """Upper-envelope kernel for hops with b_i - xi^2 <= 0.
-
-    Each mixture term contributes a single kernel with power b_i - 1, so
-    the fading shapes must be integers >= 2; xi^2 may be any positive
-    real.  The kernel mass exceeds 1: consumers must apply their
-    mass corrections to keep the resulting CDFs upper bounds.
-    """
-    scale = hop.kernel_scale
-    xi2 = hop.pointing.xi_sq
-    log_coef: list[float] = []
-    power: list[int] = []
-    rate: list[float] = []
-    for i, (a, b, c) in enumerate(hop.mg.terms):
-        b_int = round(b)
-        if abs(b - b_int) > _INT_TOL or b_int < 2:
-            raise IntegerConditionError(
-                f"bound path needs integer fading shape >= 2, got b_{i}={b}")
-        if b - xi2 > _INT_TOL:
-            raise IntegerConditionError(
-                f"bound path applies when b_i - xi^2 <= 0, got {b - xi2}")
-        log_coef.append(math.log(a) - math.log(c) + math.log(xi2)
-                        - (b_int - 1.0) * math.log(scale))
-        power.append(b_int - 1)
-        rate.append(c / scale)
-    return SnrKernel(tuple(log_coef), tuple(power), tuple(rate), "bound")
+    """The hop's bound kernel, or IntegerConditionError on another route."""
+    return _routed_kernel(hop, "bound")
 
 
 def auto_kernel(hop: HopChannel) -> SnrKernel:
-    """Exact kernel when the integer conditions hold, bound kernel when
-    the pointing parameter dominates; IntegerConditionError otherwise
-    (callers then fall back to the quadrature path)."""
-    try:
-        return reduced_kernel(hop)
-    except IntegerConditionError:
-        return bound_kernel(hop)
+    """Build the kernel of the hop's route; IntegerConditionError on the
+    quadrature route.
+
+    Exact: term i contributes b_i - xi^2 kernels of powers xi^2 + k.
+    Bound: term i contributes one kernel of power b_i - 1, the envelope
+    from Gamma(s, y) <= y^{s-1} e^{-y} (s = b_i - xi^2 <= 0), with xi^2
+    any positive real; the mass exceeds 1, and consumers apply their
+    mass corrections to keep the resulting CDFs upper bounds.
+    """
+    route = _route(hop)
+    if route is None:
+        raise IntegerConditionError("the hop is on the quadrature route")
+    scale, xi2 = hop.kernel_scale, hop.pointing.xi_sq
+    terms = []
+    for a, b, c in hop.mg.terms:
+        if route == "bound":
+            terms.append((math.log(a) - math.log(c) + math.log(xi2)
+                          - (round(b) - 1.0) * math.log(scale),
+                          round(b) - 1, c / scale))
+            continue
+        n = round(xi2)
+        terms += [(math.log(a) + (n - b + k) * math.log(c) + math.log(n)
+                   + gammaln(b - n) - gammaln(k + 1.0)
+                   - (n + k) * math.log(scale), n + k, c / scale)
+                  for k in range(round(b - n))]
+    log_coef, power, rate = zip(*terms)
+    return SnrKernel(log_coef, power, rate, route)
 
 
 def _mixture_columns(hop: HopChannel):
