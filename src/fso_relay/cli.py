@@ -91,17 +91,28 @@ class Scenario:
         return _linear(self.gamma_th_db, "gamma_th_db")
 
 
-def _object(value, what: str) -> dict:
+def _object(value, what: str, keys: str, required: str = "") -> dict:
+    """value as a JSON object holding every required key and no key
+    outside keys (both space-separated names)."""
     if not isinstance(value, dict):
         raise ScenarioError(
             f"{what} must be a JSON object, got {type(value).__name__}")
+    for key in value:
+        if key not in keys.split():
+            raise ScenarioError(f"unknown key {key!r} in {what}; "
+                                f"accepted keys: {keys}")
+    for key in required.split():
+        if key not in value:
+            raise ScenarioError(f"{what} needs {key!r}")
     return value
 
 
-def _require(doc: dict, what: str, *keys: str) -> None:
-    for key in keys:
-        if key not in doc:
-            raise ScenarioError(f"{what} needs {key!r}")
+def _integer(value, what: str) -> int:
+    """A JSON integer, or an integral number such as 2e6; not a boolean."""
+    integral = type(value) is float and value.is_integer()
+    if not (type(value) is int or integral):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _protocols(names) -> tuple[str, ...]:
@@ -127,22 +138,17 @@ def _grid(start: float, stop: float, step: float) -> tuple[float, ...]:
     return tuple(start + i * step for i in range(n))
 
 
-def _finite(value: float, what: str) -> float:
-    if not math.isfinite(value):
-        raise ScenarioError(f"{what} must be finite, got {value}")
-    return value
-
-
 def _linear(db: float, what: str) -> float:
     """10^(dB/10), the one dB conversion; ScenarioError naming what unless
-    the dB value is finite and the result neither over- nor underflows."""
+    the result is positive and finite (so the dB value is not NaN, and the
+    result neither over- nor underflows)."""
     try:
-        value = 10.0 ** (_finite(db, what) / 10.0)
-        if value > 0.0:
-            return value
+        value = 10.0 ** (db / 10.0)
     except OverflowError:
-        pass
-    raise ScenarioError(f"{what} is out of range: {db} dB")
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise ScenarioError(f"{what} is out of range: {db} dB")
+    return value
 
 
 def _parse_x_db(text: str) -> list[tuple[float, float]]:
@@ -168,13 +174,14 @@ def _parse_hop_spec(doc: dict) -> HopSpec:
         ratio = float(doc.get("r_over_wz", 0.1))
         pointing = Pointing.from_geometry(xi_sq, r=ratio, w_z=1.0)
     gg = None
+    if "mg" in doc and doc.keys() & {"alpha", "beta", "L"}:
+        raise ScenarioError("give mg or alpha/beta/L, not both")
     if "mg" in doc:
-        mg_doc = _object(doc["mg"], "mg")
-        _require(mg_doc, "mg", "terms")
-        mg = MixtureGamma.from_json_dict(mg_doc)
+        mg = MixtureGamma.from_json_dict(_object(doc["mg"], "mg", "terms",
+                                                 "terms"))
     elif "alpha" in doc and "beta" in doc:
         gg = GammaGammaParams(alpha=float(doc["alpha"]), beta=float(doc["beta"]))
-        mg = fit_gamma_gamma(gg, int(doc.get("L", 10)))
+        mg = fit_gamma_gamma(gg, _integer(doc.get("L", 10), "L"))
     else:
         raise ScenarioError("hop needs either alpha/beta or an mg mixture")
     return HopSpec(mg=mg, pointing=pointing, gg=gg,
@@ -187,19 +194,19 @@ def _parse_scenario(doc: dict) -> Scenario:
     hops_doc = doc.get("hops")
     if not isinstance(hops_doc, list) or len(hops_doc) not in (1, 2):
         raise ScenarioError("hops must be a list of one or two specs")
-    specs = [_parse_hop_spec(_object(h, "hop")) for h in hops_doc]
+    specs = [_parse_hop_spec(_object(
+        h, "hop", "alpha beta L mg xi_sq A0 r_over_wz gamma_bar_offset_db"))
+        for h in hops_doc]
     protocols = _protocols(doc.get("protocols", []))
-    mod_doc = _object(doc.get("modulation", {"P": 0.5, "Q": 1.0}), "modulation")
-    _require(mod_doc, "modulation", "P", "Q")
+    mod_doc = _object(doc.get("modulation", {"P": 0.5, "Q": 1.0}),
+                      "modulation", "P Q", "P Q")
     modulation = Modulation(float(mod_doc["P"]), float(mod_doc["Q"]))
-    sweep = doc.get("sweep")
-    if not sweep:
-        raise ScenarioError("sweep block required")
-    _require(_object(sweep, "sweep"), "sweep", "start_db", "stop_db")
+    sweep = _object(doc["sweep"], "sweep", "start_db stop_db step_db",
+                    "start_db stop_db")
     grid = _grid(float(sweep["start_db"]), float(sweep["stop_db"]),
                  float(sweep.get("step_db", 5.0)))
-    mc = _object(doc.get("mc") or {}, "mc")
-    mc = {key: int(mc[key]) for key in ("samples", "seed", "streams") if key in mc}
+    mc = _object(doc.get("mc") or {}, "mc", "samples seed streams")
+    mc = {key: _integer(value, f"mc {key}") for key, value in mc.items()}
     gain = doc.get("fixed_gain")
     gamma_th_db = float(doc.get("gamma_th_db", 0.0))
     _linear(gamma_th_db, "gamma_th_db")
@@ -223,7 +230,9 @@ def load_scenario(path: str) -> Scenario:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_constant=_no_constant)
-            return _parse_scenario(_object(doc, "scenario"))
+            return _parse_scenario(_object(
+                doc, "scenario", "schema hops protocols modulation "
+                "gamma_th_db sweep mc fixed_gain", "sweep"))
     except (OSError, json.JSONDecodeError, TypeError) as exc:
         raise ScenarioError(f"cannot read scenario {path}: {exc}") from exc
 

@@ -185,7 +185,7 @@ def _routed_kernel(hop: HopChannel, mode: str) -> SnrKernel:
     if hop.kernel is None or hop.kernel.mode != mode:
         raise IntegerConditionError(
             f"no {mode} kernel for xi^2 = {hop.pointing.xi_sq} and fading "
-            f"shapes {[t[1] for t in hop.mg.terms]}")
+            f"shapes {[b for _, b, _ in hop.mg.terms]}")
     return hop.kernel
 
 

@@ -86,12 +86,13 @@ def sample_gamma_gamma(alpha: float, beta: float,
 
 def sample_snr(hop: HopChannel, rng: np.random.Generator, size=None):
     """Per-hop SNR draws gamma_bar * I_a * I_p / mean(I_a * I_p), I_a from
-    hop.gg when set, from the mixture otherwise."""
+    hop.gg when set (unit mean), from the mixture otherwise."""
     i_p = sample_pointing(hop, rng, size)
     if hop.gg is not None:
         i_a = sample_gamma_gamma(hop.gg.alpha, hop.gg.beta, rng, size)
-    else:
-        i_a = mg_sample(hop.mg, rng, size)
+        p = hop.pointing
+        return hop.gamma_bar * i_a * i_p / (p.xi_sq * p.a0 / (1.0 + p.xi_sq))
+    i_a = mg_sample(hop.mg, rng, size)
     return hop.gamma_bar * i_a * i_p / mean_irradiance(hop)
 
 
@@ -137,14 +138,18 @@ def estimate_outage(link: RelayLink, gamma_th: float,
         raise ValueError(f"gamma_th must be positive, got {gamma_th}")
     (hits,) = _blocked_reduce(
         link, cfg, lambda g: (float(np.count_nonzero(g < gamma_th)),))
-    n = cfg.samples
-    p_hat = hits / n
-    std_err = math.sqrt(p_hat * (1.0 - p_hat) / n)
-    degenerate = hits in (0.0, float(n))
-    lo = max(0.0, p_hat - 1.96 * std_err)
-    hi = min(1.0, p_hat + 1.96 * std_err)
-    return Estimate(value=p_hat, std_err=std_err, ci95=(lo, hi),
-                    degenerate=degenerate)
+    p_hat = hits / cfg.samples
+    return _estimate(p_hat, p_hat * (1.0 - p_hat), cfg.samples, 1.0)
+
+
+def _estimate(mean: float, var: float, n: int, upper: float) -> Estimate:
+    """mean with standard error sqrt(var / n) and its 95% interval clipped
+    to [0, upper]; degenerate when var is 0."""
+    std_err = math.sqrt(var / n)
+    return Estimate(value=mean, std_err=std_err,
+                    ci95=(max(0.0, mean - 1.96 * std_err),
+                          min(upper, mean + 1.96 * std_err)),
+                    degenerate=var == 0.0)
 
 
 def _conditional_ber(mod: Modulation, g: np.ndarray) -> np.ndarray:
@@ -166,10 +171,4 @@ def estimate_aber(link: RelayLink, mod: Modulation,
     total, total_sq = _blocked_reduce(link, cfg, stats)
     n = cfg.samples
     mean = total / n
-    var = max(0.0, total_sq / n - mean * mean)
-    std_err = math.sqrt(var / n)
-    degenerate = var == 0.0
-    return Estimate(value=mean, std_err=std_err,
-                    ci95=(max(0.0, mean - 1.96 * std_err),
-                          mean + 1.96 * std_err),
-                    degenerate=degenerate)
+    return _estimate(mean, max(0.0, total_sq / n - mean * mean), n, math.inf)

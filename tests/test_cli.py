@@ -320,6 +320,44 @@ class TestScenarioValidation:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize("patch,key", [
+        ({"hops": [{**UNIT_SCENARIO["hops"][0], "xi2": 2}]}, "xi2"),
+        ({"gamma_th": 3}, "gamma_th"),
+        ({"modulation": {"P": 0.5, "Q": 1.0, "M": 2}}, "M"),
+        ({"sweep": {"start_db": 0.0, "stop_db": 0.0, "step": 5.0}}, "step"),
+        ({"mc": {"samples": 120000, "seed": 1, "stream": 2}}, "stream"),
+        ({"hops": [{**UNIT_SCENARIO["hops"][0],
+                    "mg": {"terms": [[1.0, 2.0, 1.0]], "L": 1}}]}, "L"),
+        ({"hops": [{**UNIT_SCENARIO["hops"][0], "alpha": 4, "beta": 2}]},
+         "alpha"),
+        ({"hops": [{"alpha": 4, "beta": 2, "L": True, "xi_sq": 1}]}, "L"),
+        ({"hops": [{"alpha": 4, "beta": 2, "L": 10.7, "xi_sq": 1}]}, "L"),
+        ({"mc": {"samples": 120000.5, "seed": 1}}, "samples"),
+        ({"mc": {"samples": 120000, "seed": True}}, "seed"),
+        ({"mc": {"samples": 120000, "seed": 1, "streams": 1.5}}, "streams"),
+    ], ids=["hop-key", "top-key", "modulation-key", "sweep-key", "mc-key",
+            "mg-key", "mg-and-alpha-beta", "L-bool", "L-fraction",
+            "samples-fraction", "seed-bool", "streams-fraction"])
+    def test_ignored_keys_and_values_exit_2_naming_them(self, tmp_path, patch,
+                                                         key, capsys):
+        """A key the parser would drop, or an integer field given as a
+        boolean or a fraction, exits 2 naming the key instead of running
+        with a default or a truncated value."""
+        path = write_scenario(tmp_path, **patch)
+        assert cli.main(["sweep", "--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and key in err
+
+    def test_integral_floats_and_documented_keys_accepted(self, tmp_path):
+        hop = {**UNIT_SCENARIO["hops"][0], "gamma_bar_offset_db": 1.0}
+        path = write_scenario(tmp_path, hops=[hop], fixed_gain=2.0,
+                              mc={"samples": 2e5, "seed": 1.0, "streams": 2})
+        scenario = cli.load_scenario(path)
+        assert scenario.mc == {"samples": 200000, "seed": 1, "streams": 2}
+        assert all(type(v) is int for v in scenario.mc.values())
+        assert scenario.fixed.gain == 2.0
+        assert scenario.hops[0].gamma_bar_offset_db == 1.0
+
     @pytest.mark.parametrize("mc", [5, {"samples": None, "seed": 1}])
     def test_bad_mc_block_exit_2_in_verify(self, tmp_path, mc, capsys):
         path = write_scenario(tmp_path, mc=mc)

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 import fso_relay as fr
+from fso_relay import hop as hop_module
 from fso_relay.errors import IntegerConditionError
 from fso_relay.hop import kernel_ccdf
 from helpers import make_hop, unit_hop
@@ -265,6 +266,45 @@ class TestBoundPdf:
                             gamma_bar=1.0)
         with pytest.raises(IntegerConditionError):
             fr.bound_kernel(hop)
+
+
+class TestRoute:
+    """One test decides a hop's route, and the hop's cached kernel is the
+    only kernel its callers see."""
+
+    @pytest.mark.parametrize("builder,route", [
+        (unit_hop, "exact"),
+        (lambda: make_hop(4, 2, 2, 10.0), "bound"),
+        (lambda: make_hop(4, 2, 1.5, 10.0), None),
+        # b = 2 meets the bound condition and b = 3 the exact one
+        (lambda: fr.HopChannel(
+            mg=fr.MixtureGamma(terms=((0.5, 2.0, 1.0), (0.25, 3.0, 1.0))),
+            pointing=fr.Pointing(xi_sq=2.0, a0=1.0), gamma_bar=1.0), None),
+        (lambda: replace(unit_hop(),
+                         pointing=fr.Pointing(xi_sq=1.0 + 5e-10, a0=1.0)),
+         "exact"),
+    ], ids=["unit-exact", "bound", "numeric", "mixed-numeric",
+            "near-integer-exact"])
+    def test_route_table(self, builder, route):
+        hop = builder()
+        assert hop_module._route(hop) == route
+        if route is None:
+            assert hop.kernel is None
+        else:
+            assert hop.kernel.mode == route
+
+    def test_kernel_getters_return_the_hops_kernel(self):
+        exact, bound = make_hop(4, 2, 1, 10.0), make_hop(4, 2, 2, 10.0)
+        assert fr.reduced_kernel(exact) is exact.kernel
+        assert fr.bound_kernel(bound) is bound.kernel
+
+    @pytest.mark.parametrize("getter,xi_sq", [
+        (fr.reduced_kernel, 2.0), (fr.reduced_kernel, 1.5),
+        (fr.bound_kernel, 1.0), (fr.bound_kernel, 1.5), (fr.auto_kernel, 1.5),
+    ])
+    def test_kernel_getters_reject_other_routes(self, getter, xi_sq):
+        with pytest.raises(IntegerConditionError):
+            getter(make_hop(4, 2, xi_sq, 10.0))
 
 
 class TestSnrCcdf:

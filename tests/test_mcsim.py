@@ -88,6 +88,16 @@ class TestSampleSnr:
         se = draws.std(ddof=1) / math.sqrt(n)
         assert abs(draws.mean() - hop.gamma_bar) < 3.0 * se
 
+    def test_gamma_gamma_source_mean_is_gamma_bar(self):
+        """Gamma-Gamma draws have unit mean, so they are scaled by the
+        pointing mean alone, not by the fitted mixture's mean, which at
+        (40, 38), L = 10 is far from 1."""
+        hop = make_hop(40, 38, 1, 10.0)
+        n = 200_000
+        draws = fr.sample_snr(hop, np.random.default_rng(5), n)
+        se = draws.std(ddof=1) / math.sqrt(n)
+        assert abs(draws.mean() - hop.gamma_bar) < 3.0 * se
+
     def test_empirical_cdf_within_dkw_band(self):
         hop = make_hop(5, 3, 2, 10.0)
         n = 1_000_000
